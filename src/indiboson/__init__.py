@@ -35,7 +35,9 @@ from .errors import (
     ConvergenceError,
     DivergenceWarning,
     InsufficientDecayWarning,
+    LineListError,
     PoleError,
+    ResolutionWarning,
     TruncationError,
 )
 from .model import (
@@ -60,7 +62,9 @@ __all__ = [
     "ConvergenceError",
     "DivergenceWarning",
     "InsufficientDecayWarning",
+    "LineListError",
     "PoleError",
+    "ResolutionWarning",
     "TruncationError",
     "broadened_lines",
     "correlation_linear",

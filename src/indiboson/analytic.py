@@ -22,7 +22,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import powerseries
-from .errors import DivergenceWarning, InsufficientDecayWarning, PoleError
+from .errors import (
+    DivergenceWarning,
+    InsufficientDecayWarning,
+    LineListError,
+    PoleError,
+    ResolutionWarning,
+)
 from .model import Couplings, ThermalParams, _raw_time_coeffs, time_coeffs
 from .specfun import laguerre_half_seq, laguerre_seq
 
@@ -58,6 +64,14 @@ DEGENERATE_Q_TOL = 1e-12
 _SUM_RULE_TAIL = 1e-10
 _LINE_CAP = 2000
 _IMAG_TOL = 1e-10
+# largest phase error, in rad over the time window, that a frequency grid
+# may carry and still count as uniform for the chirp-z transform
+_UNIFORM_PHASE_TOL = 1e-10
+# time samples per finite-temperature spectrum; at the cap the curvature
+# target is no longer met and ResolutionWarning says by how much
+_SAMPLE_CAP = 400_001
+# interpolation error targeted by the time step: curvature * h**2 / 8
+_INTERP_TARGET = 1e-5
 
 
 @dataclass(frozen=True)
@@ -404,7 +418,9 @@ def spectrum_zero_T(c: Couplings, n_max: int | None = None) -> list[SpectralLine
     electronic gap. With ``n_max=None`` the list grows until the collected
     weight reaches 2*pi*(1 - 1e-10); an explicit ``n_max`` must reach the
     same mass or a ValueError is raised. Weights are validated to be real
-    and nonnegative before their imaginary parts are discarded.
+    and nonnegative before their imaginary parts are discarded; a weight
+    that fails, or a list that reaches 2000 lines short of the sum rule,
+    raises :class:`LineListError`.
     """
     target = 2.0 * math.pi * (1.0 - _SUM_RULE_TAIL)
     offset0 = 0.5 * (c.omega_e - c.omega_g)
@@ -435,11 +451,11 @@ def spectrum_zero_T(c: Couplings, n_max: int | None = None) -> list[SpectralLine
             while True:
                 w = scale * h_cur * h_cur
                 if abs(w.imag) > _IMAG_TOL:
-                    raise RuntimeError(
+                    raise LineListError(
                         f"spectral weight {n} has imaginary residue {w.imag!r}"
                     )
                 if w.real < -1e-12:
-                    raise RuntimeError(
+                    raise LineListError(
                         f"spectral weight {n} is negative: {w.real!r}"
                     )
                 yield max(w.real, 0.0)
@@ -454,7 +470,7 @@ def spectrum_zero_T(c: Couplings, n_max: int | None = None) -> list[SpectralLine
             if total >= target:
                 break
             if n + 1 >= _LINE_CAP:
-                raise RuntimeError(
+                raise LineListError(
                     f"line list did not reach the sum rule within {_LINE_CAP} lines"
                 )
         elif n >= n_max:
@@ -479,21 +495,65 @@ def broadened_lines(w_offsets, lines, eta: float) -> np.ndarray:
     return np.sum(wt / math.pi * eta / ((w - off) ** 2 + eta**2), axis=1)
 
 
+def _uniform_step(delta: np.ndarray, t_span: float) -> float | None:
+    """Step dd of delta when delta[k] = delta[0] + k*dd to within a phase of
+    1e-10 rad over t_span (grids built as lo + k*step or by np.linspace both
+    qualify); None for non-uniform grids and for fewer than 2 points."""
+    if delta.ndim != 1 or delta.size < 2:
+        return None
+    dd = (delta[-1] - delta[0]) / (delta.size - 1)
+    ideal = delta[0] + np.arange(delta.size) * dd
+    if np.max(np.abs(delta - ideal)) * t_span >= _UNIFORM_PHASE_TOL:
+        return None
+    return float(dd)
+
+
+def _chirp_z_sum(x: np.ndarray, theta: float, n_w: int) -> np.ndarray:
+    """S_k = sum_j x_j e^{i theta k j} for k = 0..n_w-1 by Bluestein's
+    convolution: k*j = (k**2 + j**2 - (k-j)**2)/2 turns the sum into a
+    linear convolution with the unit-modulus chirp e^{-i theta m**2/2},
+    done with power-of-two FFTs in O((n_t + n_w) log(n_t + n_w))."""
+    n_t = x.size
+    size = 1 << (n_t + n_w - 2).bit_length()  # power of two >= n_t + n_w - 1
+    m = np.arange(max(n_t, n_w), dtype=np.int64)
+    # exact integer squares: a complex power e^{i theta}**(m**2/2) loses ~1e-6
+    chirp = np.exp(0.5j * theta * (m * m))
+    a = np.zeros(size, dtype=complex)
+    a[:n_t] = x * chirp[:n_t]
+    b = np.zeros(size, dtype=complex)
+    b[:n_w] = chirp[:n_w].conj()
+    b[size - n_t + 1 :] = chirp[n_t - 1 : 0 : -1].conj()  # lags -(n_t-1)..-1
+    a = np.fft.fft(a)
+    a *= np.fft.fft(b)
+    return chirp[:n_w] * np.fft.ifft(a)[:n_w]
+
+
 def _damped_transform(delta, ts, g, eta: float) -> np.ndarray:
     """2*Re integral_0^T e^{(i delta - eta) t} g(t) dt with g piecewise
     linear between uniform samples and the exponential integrated exactly
     on each segment (so the step size is set by g alone, not by delta).
 
-    The segment sums are geometric in z = e^{s h}, so one Horner pass
-    S = sum_j z**j g_j over all samples replaces the dense exp(outer)
-    matrix; |z| < 1 keeps the recursion well conditioned.
+    The segment sums are geometric in z = e^{s h}, S = sum_j z**j g_j. On
+    a uniform delta grid (see :func:`_uniform_step`) S is a chirp-z
+    transform, evaluated in O((n_t + n_w) log(n_t + n_w)) by
+    :func:`_chirp_z_sum`. Non-uniform grids and grids of fewer than 2
+    points take one Horner pass over all samples, O(n_t * n_w); |z| < 1
+    keeps that recursion well conditioned.
     """
+    delta = np.asarray(delta, dtype=float)
     h = ts[1] - ts[0]
-    s = 1j * np.asarray(delta, dtype=float) - eta
+    s = 1j * delta - eta
     z = np.exp(s * h)
-    acc = np.full(s.shape, g[-1], dtype=complex)
-    for gj in g[-2::-1]:
-        acc = acc * z + gj
+    dd = _uniform_step(delta, h * ts.size)
+    if dd is None:
+        acc = np.full(s.shape, g[-1], dtype=complex)
+        for gj in g[-2::-1]:
+            acc = acc * z + gj
+    else:
+        # damping and the delta[0] phase go into the samples, so the chirp
+        # keeps unit modulus
+        x = g * np.exp((1j * delta[0] - eta) * h * np.arange(ts.size))
+        acc = _chirp_z_sum(x, dd * h, delta.size)
     head = acc - np.exp(s * (ts.size - 1) * h) * g[-1]  # sum over j = 0..n-2 of z^j g_j
     tail = (acc - g[0]) / z                             # sum over j = 0..n-2 of z^j g_{j+1}
     i0 = (z - 1.0) / s
@@ -516,7 +576,15 @@ def spectrum_finite_T(
     eta defaults to 0.02*omega_e and t_max to 8/eta; a shorter window
     (eta*t_max < 5) emits :class:`InsufficientDecayWarning`. The time step
     adapts to a measured curvature bound on the gap-stripped correlator,
-    keeping the piecewise-linear interpolation error near 1e-5.
+    keeping the piecewise-linear interpolation error near 1e-5. The sample
+    count is capped at 400,001; when the cap binds (narrow eta or strong
+    coupling) the step is coarser than the target asks for and
+    :class:`ResolutionWarning` gives both steps and the estimated error
+    curvature*h**2/8.
+
+    A uniform w_grid (np.linspace or lo + k*step, ascending or descending)
+    is transformed in O((n_t + n_w) log(n_t + n_w)) by a chirp-z FFT; a
+    non-uniform grid or a single frequency costs O(n_t * n_w).
     """
     if eta is None:
         eta = 0.02 * c.omega_e
@@ -548,8 +616,19 @@ def spectrum_finite_T(
     h0 = ts[1] - ts[0]
     curvature = float(np.max(np.abs(np.diff(g, 2)))) / h0**2
     if curvature > 0.0:
-        h = min(h0, math.sqrt(8e-5 / curvature))
-        n_t = min(int(math.ceil(t_max / h)) + 1, 400_001)
+        h = min(h0, math.sqrt(8.0 * _INTERP_TARGET / curvature))
+        n_t = int(math.ceil(t_max / h)) + 1
+        if n_t > _SAMPLE_CAP:
+            n_t = _SAMPLE_CAP
+            h_used = t_max / (n_t - 1)
+            warnings.warn(
+                f"time step {h:.3g} needed for the {_INTERP_TARGET:g} interpolation "
+                f"target exceeds the {_SAMPLE_CAP:,}-sample cap; using step "
+                f"{h_used:.3g}, estimated interpolation error "
+                f"{curvature * h_used**2 / 8.0:.3g}",
+                ResolutionWarning,
+                stacklevel=2,
+            )
         if n_t > ts.size:
             ts = np.linspace(0.0, t_max, n_t)
             g = stripped(ts)

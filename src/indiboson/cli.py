@@ -41,7 +41,13 @@ from .analytic import (
     spectrum_zero_T,
     vacuum_ground_phonon_number,
 )
-from .errors import ConfigError, ConvergenceError, PoleError, TruncationError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    LineListError,
+    PoleError,
+    TruncationError,
+)
 from .model import ModelParams, ThermalParams, derive_couplings
 from .oracle import (
     OracleState,
@@ -515,7 +521,7 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return 3
-    except (TruncationError, ConvergenceError) as exc:
+    except (TruncationError, ConvergenceError, LineListError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

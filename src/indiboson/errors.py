@@ -5,8 +5,10 @@ __all__ = [
     "PoleError",
     "TruncationError",
     "ConvergenceError",
+    "LineListError",
     "DivergenceWarning",
     "InsufficientDecayWarning",
+    "ResolutionWarning",
 ]
 
 
@@ -28,6 +30,12 @@ class ConvergenceError(RuntimeError):
     """Raised when a basis-size sweep does not converge monotonically."""
 
 
+class LineListError(RuntimeError):
+    """Raised when a zero-temperature line list cannot be streamed: a
+    weight is complex or negative beyond roundoff, or the list runs into
+    its line cap before reaching the sum rule."""
+
+
 class DivergenceWarning(UserWarning):
     """The generating function was evaluated outside the disk where its
     Taylor series converges; the closed form is returned regardless."""
@@ -36,3 +44,8 @@ class DivergenceWarning(UserWarning):
 class InsufficientDecayWarning(UserWarning):
     """A damped Fourier transform was truncated before the integrand had
     decayed enough for reliable line shapes."""
+
+
+class ResolutionWarning(UserWarning):
+    """A sampled transform hit its sample cap, so its time step is coarser
+    than the documented accuracy target asks for."""

@@ -256,6 +256,17 @@ def test_near_infinite_temperature_is_a_domain_error(capsys):
     assert "pole" in err
 
 
+def test_line_list_failure_is_a_numerical_error(tmp_path, capsys):
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text("omega_g = 1.0\nomega_e = 1.5\nlambda_g = 50\n")
+    code, out, err = run(["spectrum", "--config", str(cfg), "--beta", "inf"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error:")
+    assert "sum rule" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -7,17 +7,19 @@ against plain series arithmetic.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from indiboson import powerseries
+from indiboson import analytic, powerseries
 from indiboson.analytic import (
     broadened_lines,
     spectrum_finite_T,
     spectrum_zero_T,
 )
-from indiboson.errors import InsufficientDecayWarning
+from indiboson.errors import InsufficientDecayWarning, LineListError, ResolutionWarning
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
 from indiboson.oracle import TruncatedBasis, thermal_line_list
 
@@ -118,6 +120,8 @@ def test_line_cap_guards_runaway_lists():
     # e^{-lambda**2} underflows, so the stream cannot reach the sum rule
     with pytest.raises(RuntimeError, match="sum rule"):
         spectrum_zero_T(make(lam=50.0))
+    with pytest.raises(LineListError, match="sum rule"):
+        spectrum_zero_T(make(omega_e=1.5, lam=50.0))
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +197,79 @@ def test_transform_parameter_guards(squeezed):
         spectrum_finite_T(T_ZERO, squeezed, w, eta=-0.1)
     with pytest.raises(ValueError, match="t_max"):
         spectrum_finite_T(T_ZERO, squeezed, w, eta=0.1, t_max=0.0)
+
+
+def _benchmark_style_grid(lo, hi, n):
+    step = (hi - lo) / (n - 1)
+    return np.array([lo + k * step for k in range(n - 1)] + [hi])
+
+
+def _jittered_grid():
+    w = np.linspace(-3.0, 13.0, 61)
+    return w + np.random.default_rng(7).uniform(-0.05, 0.05, w.size)
+
+
+def _nudged_grid():
+    # one point off by 1e-9: a phase of 4e-8 rad over t_max = 40
+    w = np.linspace(-3.0, 13.0, 401)
+    w[200] += 1e-9
+    return w
+
+
+@pytest.mark.parametrize(
+    "w, fast",
+    [
+        (np.linspace(-1.0, 3.0, 2), True),
+        (np.linspace(-3.0, 13.0, 401), True),
+        (np.linspace(-3.0, 13.0, 400), True),
+        (np.linspace(13.0, -3.0, 401), True),
+        (_benchmark_style_grid(-3.0, 13.0, 333), True),
+        (np.array([2.0]), False),
+        (_jittered_grid(), False),
+        (_nudged_grid(), False),
+    ],
+    ids=["two-point", "odd", "even", "descending", "lo+k*step", "one-point",
+         "jittered", "nudged"],
+)
+def test_chirp_z_transform_matches_horner(monkeypatch, w, fast):
+    # a nonzero gap puts roundoff into the offsets w - omega_eg, which the
+    # uniform grids must tolerate
+    c = make(omega_e=2.0, lam=1.0, eps_e=0.7)
+    th = ThermalParams(0.5)
+    calls = []
+    chirp_z = analytic._chirp_z_sum
+
+    def spy(*args):
+        calls.append(args)
+        return chirp_z(*args)
+
+    monkeypatch.setattr(analytic, "_chirp_z_sum", spy)
+    got = spectrum_finite_T(th, c, w, eta=0.2)
+    assert bool(calls) == fast
+    monkeypatch.setattr(analytic, "_uniform_step", lambda delta, t_span: None)
+    want = spectrum_finite_T(th, c, w, eta=0.2)
+    assert len(calls) == int(fast)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_sample_cap_warns_with_the_steps_and_error():
+    # narrow lines on a stiff excited mode: the curvature target asks for
+    # about 640,000 samples over t_max = 4000
+    c = make(omega_e=5.0, lam=1.0)
+    w = np.linspace(-10.0, 40.0, 201)
+    with pytest.warns(ResolutionWarning, match="400,001-sample cap") as record:
+        a = spectrum_finite_T(T_ZERO, c, w, eta=0.002)
+    found = re.search(
+        r"time step (\S+) needed .* using step (\S+), estimated interpolation "
+        r"error (\S+)$",
+        str(record[0].message),
+    )
+    asked, used, error = (float(v) for v in found.groups())
+    assert used == 0.01  # t_max / 400,000
+    assert asked < used
+    # curvature * h**2 / 8 with the curvature the asked-for step was set from
+    assert error == pytest.approx(1e-5 * (used / asked) ** 2, rel=5e-3)
+    assert np.all(np.isfinite(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        spectrum_finite_T(T_ZERO, c, w, eta=0.1)
