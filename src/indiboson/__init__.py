@@ -10,18 +10,18 @@ Closed forms live in :mod:`indiboson.analytic`, parameter handling in
 __version__ = "0.1.0"
 
 from .analytic import (
-    CorrelationSample,
     OverlapValue,
     SpectralLine,
     broadened_lines,
-    correlation_linear,
-    correlation_quadratic,
+    correlation,
     excited_mean_energy,
     excited_phonon_number,
     generating_function,
+    overlap,
     overlap_linear,
     overlap_quadratic,
     overlap_quadratic_series,
+    phonon_number,
     phonon_number_linear,
     phonon_number_quadratic,
     polaron_state_check,
@@ -32,7 +32,6 @@ from .analytic import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DivergenceWarning,
     InsufficientDecayWarning,
     LineListError,
@@ -51,7 +50,6 @@ from .model import (
 
 __all__ = [
     "__version__",
-    "CorrelationSample",
     "OverlapValue",
     "SpectralLine",
     "Couplings",
@@ -59,7 +57,6 @@ __all__ = [
     "ThermalParams",
     "TimeCoeffs",
     "ConfigError",
-    "ConvergenceError",
     "DivergenceWarning",
     "InsufficientDecayWarning",
     "LineListError",
@@ -67,15 +64,16 @@ __all__ = [
     "ResolutionWarning",
     "TruncationError",
     "broadened_lines",
-    "correlation_linear",
-    "correlation_quadratic",
+    "correlation",
     "derive_couplings",
     "excited_mean_energy",
     "excited_phonon_number",
     "generating_function",
+    "overlap",
     "overlap_linear",
     "overlap_quadratic",
     "overlap_quadratic_series",
+    "phonon_number",
     "phonon_number_linear",
     "phonon_number_quadratic",
     "polaron_state_check",

@@ -14,12 +14,12 @@ and zero-temperature line weights sum to 2*pi.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import powerseries
 from .errors import (
@@ -29,13 +29,15 @@ from .errors import (
     PoleError,
     ResolutionWarning,
 )
-from .model import Couplings, ThermalParams, _raw_time_coeffs, time_coeffs
+from .model import Couplings, ThermalParams, time_coeffs
 from .specfun import laguerre_half_seq, laguerre_seq
 
 __all__ = [
     "OverlapValue",
-    "CorrelationSample",
     "SpectralLine",
+    "overlap",
+    "phonon_number",
+    "correlation",
     "vacuum_expansion_linear",
     "vacuum_ground_phonon_number",
     "phonon_number_linear",
@@ -46,8 +48,6 @@ __all__ = [
     "overlap_quadratic",
     "overlap_quadratic_series",
     "generating_function",
-    "correlation_linear",
-    "correlation_quadratic",
     "spectrum_zero_T",
     "spectrum_finite_T",
     "broadened_lines",
@@ -55,11 +55,8 @@ __all__ = [
 ]
 
 # Distance below which a generating-function argument counts as sitting on
-# a pole, and the |1 -+ q| scale below which the partial-fraction form of
-# the overlap would degenerate (unreachable for real parameters, where q
-# is purely imaginary and |1 -+ q| >= 1).
+# a pole.
 POLE_TOL = 1e-9
-DEGENERATE_Q_TOL = 1e-12
 
 _SUM_RULE_TAIL = 1e-10
 _LINE_CAP = 2000
@@ -74,35 +71,37 @@ _SAMPLE_CAP = 400_001
 _INTERP_TARGET = 1e-5
 
 
+def _check_magnitude(name: str, value):
+    """Reject a return amplitude or correlation (scalar or array) whose
+    magnitude exceeds 1 beyond roundoff."""
+    peak = abs(value)
+    if isinstance(peak, np.ndarray):
+        peak = peak.max(initial=0.0)
+    if peak > 1.0 + 1e-6:
+        raise ValueError(f"{name} magnitude {float(peak)!r} exceeds 1 beyond tolerance")
+
+
 @dataclass(frozen=True)
 class OverlapValue:
-    """Return amplitude of ground-surface number state p at time t."""
+    """Return amplitude of ground-surface number state p at time t; for an
+    ndarray of times ``value`` is an array of the same shape."""
 
     p: int
-    t: float
-    value: complex
+    t: float | np.ndarray
+    value: complex | np.ndarray
 
     def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-6:
-            raise ValueError(
-                f"overlap magnitude {abs(self.value)!r} exceeds 1 beyond tolerance"
-            )
+        _check_magnitude("overlap", self.value)
 
     @property
-    def probability(self) -> float:
+    def probability(self) -> float | np.ndarray:
         return abs(self.value) ** 2
 
 
-@dataclass(frozen=True)
-class CorrelationSample:
-    t: float
-    value: complex
-
-    def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-6:
-            raise ValueError(
-                f"correlation magnitude {abs(self.value)!r} exceeds 1 beyond tolerance"
-            )
+def _overlap_value(p: int, t, value) -> OverlapValue:
+    if isinstance(value, np.ndarray):
+        return OverlapValue(p=p, t=t, value=value)
+    return OverlapValue(p=p, t=float(t), value=complex(value))
 
 
 @dataclass(frozen=True)
@@ -153,18 +152,20 @@ def vacuum_ground_phonon_number(c: Couplings) -> float:
     return c.lambda_g**2 + c.gamma_minus**2
 
 
-def phonon_number_linear(p: int, c: Couplings, t: float) -> float:
+def phonon_number_linear(p: int, c: Couplings, t):
     """Ground-mode occupation of the evolved state, equal frequencies:
-    p + 4*lambda_g**2*sin(omega*t/2)**2."""
+    p + 4*lambda_g**2*sin(omega*t/2)**2. A float for a float t, an array
+    for an ndarray of times."""
     p = _require_order(p)
     _require_equal_frequencies(c, "phonon_number_linear")
-    s = math.sin(0.5 * c.omega_e * t)
+    s = np.sin(0.5 * c.omega_e * t)
     return p + 4.0 * c.huang_rhys * s * s
 
 
-def phonon_number_quadratic(p: int, c: Couplings, t: float) -> float:
+def phonon_number_quadratic(p: int, c: Couplings, t):
     """Ground-mode occupation of the evolved state for general couplings:
-    p*|d'|**2 + (p+1)*|q'|**2 + |lam'|**2."""
+    p*|d'|**2 + (p+1)*|q'|**2 + |lam'|**2, at a time or an ndarray of
+    times."""
     p = _require_order(p)
     tc = time_coeffs(c, c.omega_e, t)
     return (
@@ -172,6 +173,15 @@ def phonon_number_quadratic(p: int, c: Couplings, t: float) -> float:
         + (p + 1) * abs(tc.q_tilde_prime) ** 2
         + abs(tc.lam_tilde_prime) ** 2
     )
+
+
+def phonon_number(p: int, c: Couplings, ts) -> np.ndarray:
+    """Ground-mode occupation of the evolved state on an array of times;
+    the one place that picks the equal-frequency or the general closed
+    form."""
+    ts = np.asarray(ts, dtype=float)
+    kernel = phonon_number_linear if c.equal_frequencies else phonon_number_quadratic
+    return kernel(p, c, ts)
 
 
 def excited_phonon_number(p: int, c: Couplings) -> float:
@@ -194,8 +204,9 @@ def excited_mean_energy(p: int, c: Couplings) -> float:
 # return amplitudes
 
 
-def overlap_linear(p: int, c: Couplings, t: float) -> OverlapValue:
-    """Return amplitude for equal surface frequencies.
+def overlap_linear(p: int, c: Couplings, t) -> OverlapValue:
+    """Return amplitude for equal surface frequencies, at a time or an
+    ndarray of times.
 
     <p|p(t)> = exp(-lam*conj(lam_t)) * exp(-i*omega*t*(p + 1/2))
                * L_p(|lam_t|**2)  with  lam_t = lam*(1 - e^{i omega t}).
@@ -210,7 +221,7 @@ def overlap_linear(p: int, c: Couplings, t: float) -> OverlapValue:
         * np.exp(-1j * w * t * (p + 0.5))
         * laguerre_seq(p, abs(lam_t) ** 2)[p]
     )
-    return OverlapValue(p=p, t=float(t), value=complex(value))
+    return _overlap_value(p, t, value)
 
 
 def _t0_return_factor(c: Couplings, t):
@@ -222,7 +233,7 @@ def _t0_return_factor(c: Couplings, t):
     t = 0 value is exactly 1. Its real part never drops below 1, keeping
     the principal square root on a single branch.
     """
-    theta = c.omega_e * np.asarray(t)
+    theta = c.omega_e * t
     em1 = np.exp(-1j * theta)
     denom = 1.0 + c.gamma_minus**2 * (1.0 - em1 * em1)
     shift = c.lambda_g * c.lambda_e * (1.0 - em1) / (c.gamma_plus - c.gamma_minus * em1)
@@ -265,39 +276,40 @@ def overlap_quadratic_series(p_max: int, c: Couplings, t: float) -> np.ndarray:
     return phases * coeffs
 
 
-def _overlap_quadratic_value(p: int, c: Couplings, t: float) -> complex:
+def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
+    """Return amplitude for general frequency and position changes, at a
+    time or an ndarray of times.
+
+    Evaluates the closed form
+    T0 * e^{-i omega_e t/2} * (d/(1+q))**p *
+    sum_k ((1+q)/(1-q))**k L^{(-1/2)}_{p-k}(0) L^{(-1/2)}_k(-lam**2/(d(1-q)))
+    which reduces to :func:`overlap_linear` as the frequencies merge. For
+    real parameters q is purely imaginary, so |1 -+ q| >= 1 and the
+    partial fractions never degenerate.
+    """
+    p = _require_order(p)
     tc = time_coeffs(c, c.omega_e, t)
     d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
-    if min(abs(1.0 - q), abs(1.0 + q)) < DEGENERATE_Q_TOL:
-        # Unreachable for real parameters (q is purely imaginary, so
-        # |1 -+ q| >= 1); kept so exotic inputs still get an answer.
-        return complex(overlap_quadratic_series(p, c, t)[p])
-    half_at_zero = laguerre_half_seq(p, 0.0)
     half = laguerre_half_seq(p, -lam * lam / (d * (1.0 - q)))
     ratio = (1.0 + q) / (1.0 - q)
-    acc = 0.0 + 0.0j
-    rk = 1.0 + 0.0j
-    for k in range(p + 1):
-        acc += rk * half_at_zero[p - k] * half[k]
-        rk *= ratio
-    return complex(
+    column = (p + 1,) + (1,) * (half.ndim - 1)  # broadcast the k-sum over the times
+    k = np.arange(p + 1).reshape(column)
+    terms = laguerre_half_seq(p, 0.0)[::-1].reshape(column) * half
+    acc = np.sum(ratio**k * terms, axis=0)
+    value = (
         _t0_return_factor(c, t)
         * np.exp(-0.5j * c.omega_e * t)
         * (d / (1.0 + q)) ** p
         * acc
     )
+    return _overlap_value(p, t, value)
 
 
-def overlap_quadratic(p: int, c: Couplings, t: float) -> OverlapValue:
-    """Return amplitude for general frequency and position changes.
-
-    Evaluates the closed form
-    T0 * e^{-i omega_e t/2} * (d/(1+q))**p *
-    sum_k ((1+q)/(1-q))**k L^{(-1/2)}_{p-k}(0) L^{(-1/2)}_k(-lam**2/(d(1-q)))
-    which reduces to :func:`overlap_linear` as the frequencies merge.
-    """
-    p = _require_order(p)
-    return OverlapValue(p=p, t=float(t), value=_overlap_quadratic_value(p, c, t))
+def overlap(p: int, c: Couplings, ts) -> np.ndarray:
+    """Return amplitudes <p|p(t)> on an array of times; the one place that
+    picks the equal-frequency or the general closed form."""
+    ts = np.asarray(ts, dtype=float)
+    return (overlap_linear if c.equal_frequencies else overlap_quadratic)(p, c, ts).value
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +362,9 @@ def generating_function(x: complex, c: Couplings, t: float) -> complex:
 
 
 def _correlation_linear_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
-    _require_equal_frequencies(c, "correlation_linear")
-    ts = np.asarray(ts, dtype=float)
+    """Equal frequencies:
+    e^{-i omega_eg t} e^{-lam*conj(lam_t)} e^{-nbar*|lam_t|**2}."""
+    _require_equal_frequencies(c, "_correlation_linear_values")
     w = c.omega_e
     lam = c.lambda_g
     lam_t = lam * (1.0 - np.exp(1j * w * ts))
@@ -364,12 +377,10 @@ def _correlation_linear_values(th: ThermalParams, c: Couplings, ts) -> np.ndarra
 
 
 def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    _, d_prime, q_prime, lam_prime = _raw_time_coeffs(c, c.omega_e, ts)
-    phase = np.exp(-1j * c.omega_e * ts)
-    d = phase * d_prime
-    q = phase * q_prime
-    lam = phase * lam_prime
+    """General couplings: the generating function evaluated at
+    x = e^{-beta omega_g} e^{i(omega_g - omega_e) t} d'."""
+    tc = time_coeffs(c, c.omega_e, ts)
+    d_prime, d, q, lam = tc.d_tilde_prime, tc.d_tilde, tc.q_tilde, tc.lam_tilde
     boltz = th.boltzmann(c.omega_g)
     x = boltz * np.exp(1j * (c.omega_g - c.omega_e) * ts) * d_prime
     # |x| = boltz * |1 -+ q| exactly, so for any beta > 0 the argument sits
@@ -390,21 +401,17 @@ def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.nda
     )
 
 
-def correlation_linear(th: ThermalParams, c: Couplings, t: float) -> CorrelationSample:
-    """Thermal dipole correlation for equal surface frequencies:
-    e^{-i omega_eg t} e^{-lam*conj(lam_t)} e^{-nbar*|lam_t|**2}."""
-    value = _correlation_linear_values(th, c, np.array([float(t)]))[0]
-    return CorrelationSample(t=float(t), value=complex(value))
-
-
-def correlation_quadratic(
-    th: ThermalParams, c: Couplings, t: float
-) -> CorrelationSample:
-    """Thermal dipole correlation for general couplings, obtained by
-    evaluating the generating function at
-    x = e^{-beta omega_g} e^{i(omega_g - omega_e) t} d'."""
-    value = _correlation_quadratic_values(th, c, np.array([float(t)]))[0]
-    return CorrelationSample(t=float(t), value=complex(value))
+def correlation(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
+    """Thermal dipole correlation G(t) on an array of times, including the
+    electronic phase e^{-i omega_eg t}; the one place that picks the
+    equal-frequency or the general closed form. |G| <= 1 is checked over
+    the whole array."""
+    ts = np.asarray(ts, dtype=float)
+    values = (
+        _correlation_linear_values if c.equal_frequencies else _correlation_quadratic_values
+    )(th, c, ts)
+    _check_magnitude("correlation", values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +424,11 @@ def spectrum_zero_T(c: Couplings, n_max: int | None = None) -> list[SpectralLine
     Lines sit at offsets (omega_e - omega_g)/2 + n*omega_e from the
     electronic gap. With ``n_max=None`` the list grows until the collected
     weight reaches 2*pi*(1 - 1e-10); an explicit ``n_max`` must reach the
-    same mass or a ValueError is raised. Weights are validated to be real
-    and nonnegative before their imaginary parts are discarded; a weight
-    that fails, or a list that reaches 2000 lines short of the sum rule,
-    raises :class:`LineListError`.
+    same mass or a ValueError is raised. Weights are validated to be
+    finite, real and nonnegative before their imaginary parts are
+    discarded; a weight that fails, a first weight that underflows to zero,
+    or a list that reaches 2000 lines short of the sum rule, raises
+    :class:`LineListError`.
     """
     target = 2.0 * math.pi * (1.0 - _SUM_RULE_TAIL)
     offset0 = 0.5 * (c.omega_e - c.omega_g)
@@ -443,13 +451,20 @@ def spectrum_zero_T(c: Couplings, n_max: int | None = None) -> list[SpectralLine
         # lambda_g/sqrt(-2*gamma_plus*gamma_minus), streamed upward
         def weights():
             gp, gm = c.gamma_plus, c.gamma_minus
-            z = c.lambda_g / np.sqrt(complex(-2.0 * gp * gm))
+            # plain complex arithmetic: an overflowing Hermite value turns
+            # into inf or nan without numpy warnings and is caught below
+            z = complex(c.lambda_g / np.sqrt(complex(-2.0 * gp * gm)))
             ratio = -gm / (2.0 * gp)
             scale = complex((2.0 * math.pi / gp) * math.exp(-c.lambda_e * c.lambda_g / gp))
             h_prev, h_cur = 0.0 + 0.0j, 1.0 + 0.0j
             n = 0
             while True:
                 w = scale * h_cur * h_cur
+                if not cmath.isfinite(w):
+                    raise LineListError(
+                        f"spectral weight {n} is not finite ({w!r}), so the "
+                        "line list cannot reach the sum rule"
+                    )
                 if abs(w.imag) > _IMAG_TOL:
                     raise LineListError(
                         f"spectral weight {n} has imaginary residue {w.imag!r}"
@@ -464,6 +479,13 @@ def spectrum_zero_T(c: Couplings, n_max: int | None = None) -> list[SpectralLine
                 scale *= ratio / n
 
     for n, w in enumerate(weights()):
+        if n == 0 and w == 0.0:
+            # the first weight is the whole weight scale, which can only
+            # vanish by underflow (exp(-S) for S beyond ~745)
+            raise LineListError(
+                "spectral weight 0 underflows to zero, so the line list cannot "
+                "reach the sum rule"
+            )
         lines.append(SpectralLine(offset=offset0 + n * c.omega_e, weight=w))
         total += w
         if n_max is None:
@@ -604,12 +626,9 @@ def spectrum_finite_T(
             stacklevel=2,
         )
     w = np.asarray(w_grid, dtype=float)
-    values = (
-        _correlation_linear_values if c.equal_frequencies else _correlation_quadratic_values
-    )
 
     def stripped(ts):
-        return values(th, c, ts) * np.exp(1j * c.omega_eg * ts)
+        return correlation(th, c, ts) * np.exp(1j * c.omega_eg * ts)
 
     ts = np.linspace(0.0, t_max, 4097)
     g = stripped(ts)
@@ -651,7 +670,10 @@ def polaron_state_check(lam: float, p: int, dim: int = 60) -> float:
     if dim < p + 2:
         raise ValueError(f"dim must exceed p + 1, got dim={dim}, p={p}")
     b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    displaced = expm(lam * (b.T - b))[:, p]
+    # exp(lam*(b^dag - b)) = exp(-i*g) for the Hermitian generator
+    # g = i*lam*(b^dag - b), exponentiated through its eigenbasis
+    energies, modes = np.linalg.eigh(1j * lam * (b.T - b))
+    displaced = modes @ (np.exp(-1j * energies) * modes[p].conj())
     vec = vacuum_expansion_linear(lam, dim - 1)
     shifted_create = b.T - lam * np.eye(dim)
     for _ in range(p):

@@ -30,24 +30,16 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    _correlation_linear_values,
-    _correlation_quadratic_values,
     broadened_lines,
-    overlap_linear,
-    overlap_quadratic,
-    phonon_number_linear,
-    phonon_number_quadratic,
+    correlation,
+    excited_phonon_number,
+    overlap,
+    phonon_number,
     spectrum_finite_T,
     spectrum_zero_T,
     vacuum_ground_phonon_number,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    LineListError,
-    PoleError,
-    TruncationError,
-)
+from .errors import ConfigError, LineListError, PoleError, TruncationError
 from .model import ModelParams, ThermalParams, derive_couplings
 from .oracle import (
     OracleState,
@@ -60,7 +52,7 @@ from .oracle import (
     thermal_line_list,
 )
 from .presets import preset_config, preset_names
-from .validation import run_validation
+from .validation import THERMAL_ORACLE_DIM, run_validation
 
 __all__ = ["main", "build_parser", "parse_config_text", "build_run_config", "RunConfig"]
 
@@ -120,7 +112,13 @@ def _as_int(raw: dict, key: str, default: int | None = None) -> int | None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration shared by all subcommands."""
+    """Fully resolved run configuration shared by all subcommands.
+
+    ``thermal_dim`` is the basis size of the thermal oracle comparisons
+    (``correlation --oracle``, finite-T ``spectrum --oracle`` and the thermal
+    row of ``validate``): ``oracle_dim`` when ``--oracle-dim`` pins it, else
+    at least :data:`~indiboson.validation.THERMAL_ORACLE_DIM`.
+    """
 
     params: ModelParams
     thermal: ThermalParams
@@ -129,7 +127,7 @@ class RunConfig:
     w_grid: tuple[float, float, int]
     eta: float
     oracle_dim: int
-    dim_overridden: bool
+    thermal_dim: int
     fmt: str
     out: str | None
 
@@ -163,7 +161,8 @@ class RunConfig:
 
 
 def build_run_config(raw: dict, dim_overridden: bool = False) -> RunConfig:
-    """Resolve a flat mapping (strings or numbers) into a RunConfig."""
+    """Resolve a flat mapping (strings or numbers) into a RunConfig;
+    ``dim_overridden`` says that ``--oracle-dim`` pinned the basis size."""
     for key in raw:
         if key not in _ALL_KEYS:
             raise ConfigError(f"unknown key {key!r}")
@@ -225,7 +224,7 @@ def build_run_config(raw: dict, dim_overridden: bool = False) -> RunConfig:
         w_grid=(w_min, w_max, w_points),
         eta=eta,
         oracle_dim=oracle_dim,
-        dim_overridden=dim_overridden,
+        thermal_dim=oracle_dim if dim_overridden else max(oracle_dim, THERMAL_ORACLE_DIM),
         fmt=fmt,
         out=str(out) if out is not None else None,
     )
@@ -345,20 +344,13 @@ def cmd_evolve(args) -> int:
     c = derive_couplings(cfg.params)
     ts = cfg.times()
     p0 = cfg.initial_p
-    linear = c.equal_frequencies
-    if linear:
-        amp = np.array([overlap_linear(p0, c, t).value for t in ts])
-        phon = np.array([phonon_number_linear(p0, c, t) for t in ts])
-    else:
-        amp = np.array([overlap_quadratic(p0, c, t).value for t in ts])
-        phon = np.array([phonon_number_quadratic(p0, c, t) for t in ts])
     columns = {
         "t": list(ts),
-        "overlap_sq": list(np.abs(amp) ** 2),
-        "ground_phonons": list(phon),
+        "overlap_sq": list(np.abs(overlap(p0, c, ts)) ** 2),
+        "ground_phonons": list(phonon_number(p0, c, ts)),
     }
-    if linear:
-        columns["excited_phonons"] = [p0 + c.huang_rhys] * ts.size
+    if c.equal_frequencies:  # the excited-mode occupation is conserved
+        columns["excited_phonons"] = [excited_phonon_number(p0, c)] * ts.size
     if args.oracle:
         basis = TruncatedBasis(cfg.oracle_dim)
         prop = Propagator(build_excited_hamiltonian(c, basis), basis)
@@ -377,9 +369,8 @@ def cmd_correlation(args) -> int:
     cfg = _load_config(args)
     c = derive_couplings(cfg.params)
     ts = cfg.times()
-    values = (_correlation_linear_values if c.equal_frequencies
-              else _correlation_quadratic_values)
-    g = values(cfg.thermal, c, ts)
+    g = correlation(cfg.thermal, c, ts)
+    meta = _meta("correlation", cfg)
     columns = {
         "t": list(ts),
         "g_real": list(g.real),
@@ -387,10 +378,11 @@ def cmd_correlation(args) -> int:
         "g_abs_sq": list(np.abs(g) ** 2),
     }
     if args.oracle:
-        ref = thermal_correlation(cfg.thermal, c, TruncatedBasis(cfg.oracle_dim), ts)
+        ref = thermal_correlation(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim), ts)
         columns["oracle_g_real"] = list(ref.real)
         columns["oracle_g_imag"] = list(ref.imag)
-    _emit(cfg.fmt, cfg.out, _meta("correlation", cfg), columns)
+        meta["oracle_dim"] = cfg.thermal_dim
+    _emit(cfg.fmt, cfg.out, meta, columns)
     return 0
 
 
@@ -413,48 +405,41 @@ def cmd_spectrum(args) -> int:
         return 0
     w = cfg.freqs()
     absorption = spectrum_finite_T(cfg.thermal, c, w, eta=cfg.eta)
+    meta = _meta("spectrum", cfg)
     columns = {
         "w": list(w),
         "offset": list(w - c.omega_eg),
         "absorption": list(absorption),
     }
     if args.oracle:
-        lines = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.oracle_dim))
+        lines = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim))
         columns["oracle_absorption"] = list(
             broadened_lines(w - c.omega_eg, lines, cfg.eta)
         )
-    _emit(cfg.fmt, cfg.out, _meta("spectrum", cfg), columns)
+        meta["oracle_dim"] = cfg.thermal_dim
+    _emit(cfg.fmt, cfg.out, meta, columns)
     return 0
 
 
 def cmd_validate(args) -> int:
+    cfg = _load_config(args, required=False)
     specs = []
     if args.preset or args.config:
-        cfg = _load_config(args)
         label = args.preset if (args.preset and not args.config) else "config"
         specs.append((label, cfg.params, cfg.thermal.beta, cfg.initial_p))
-        oracle_dim, dim_overridden = cfg.oracle_dim, cfg.dim_overridden
-        fmt, out = cfg.fmt, cfg.out
-    else:
-        oracle_dim = args.oracle_dim if args.oracle_dim is not None else 128
-        if oracle_dim < 2:
-            raise ConfigError(f"oracle_dim must be >= 2, got {oracle_dim}")
-        dim_overridden = args.oracle_dim is not None
-        fmt = args.format if args.format is not None else "csv"
-        out = args.out
     for name in preset_names():
         if any(label == name for label, *_ in specs):
             continue
         pc = build_run_config(preset_config(name))
         specs.append((name, pc.params, pc.thermal.beta, pc.initial_p))
-    report = run_validation(specs, oracle_dim=oracle_dim,
-                            dim_overridden=dim_overridden)
+    report = run_validation(specs, oracle_dim=cfg.oracle_dim,
+                            thermal_dim=cfg.thermal_dim)
     print(report.to_text())
-    if out is not None:
+    if cfg.out is not None:
         meta = {"tool": "indiboson", "version": __version__, "command": "validate",
                 "oracle_dim": report.oracle_dim, "thermal_dim": report.thermal_dim,
                 "overall": "pass" if report.all_passed else "fail"}
-        _emit(fmt, out, meta, report.columns())
+        _emit(cfg.fmt, cfg.out, meta, report.columns())
     return 0 if report.all_passed else 1
 
 
@@ -478,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", help="inverse temperature override ('inf' for T = 0)")
         sp.add_argument("--eta", type=float, help="spectral half-width override")
         sp.add_argument("--oracle-dim", dest="oracle_dim", type=int,
-                        help="truncated-basis size (default 128)")
+                        help="truncated-basis size (default 128; thermal "
+                             "comparisons use at least 256 unless this is given)")
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
         sp.add_argument("--out", help="output file (default stdout)")
 
@@ -521,7 +507,7 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return 3
-    except (TruncationError, ConvergenceError, LineListError) as exc:
+    except (TruncationError, LineListError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

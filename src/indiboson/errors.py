@@ -4,7 +4,6 @@ __all__ = [
     "ConfigError",
     "PoleError",
     "TruncationError",
-    "ConvergenceError",
     "LineListError",
     "DivergenceWarning",
     "InsufficientDecayWarning",
@@ -26,14 +25,11 @@ class TruncationError(RuntimeError):
     edge and cannot be trusted at the requested accuracy."""
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when a basis-size sweep does not converge monotonically."""
-
-
 class LineListError(RuntimeError):
     """Raised when a zero-temperature line list cannot be streamed: a
-    weight is complex or negative beyond roundoff, or the list runs into
-    its line cap before reaching the sum rule."""
+    weight is not finite, complex or negative beyond roundoff, the first
+    weight underflows to zero, or the list runs into its line cap before
+    reaching the sum rule."""
 
 
 class DivergenceWarning(UserWarning):

@@ -172,10 +172,6 @@ class ThermalParams:
             return 0.0
         return 1.0 / math.expm1(x)
 
-    def ground_partition(self, omega: float) -> float:
-        """Partition function of the ground-surface mode."""
-        return 1.0 / (1.0 - self.boltzmann(omega))
-
 
 @dataclass(frozen=True)
 class TimeCoeffs:
@@ -185,51 +181,44 @@ class TimeCoeffs:
     Heisenberg-evolved ground-mode annihilation operator as
     d'*b + q'*b^dag + lam'; the unprimed tilde variants carry an extra
     e^{-i omega_e t} phase and are what the overlap closed forms consume.
-    |d'|**2 - |q'|**2 = 1 at all times.
+    |d'|**2 - |q'|**2 = 1 at all times. For an array of times every field
+    is an array of the same shape.
     """
 
-    t: float
-    lam_t: complex
-    d_tilde_prime: complex
-    q_tilde_prime: complex
-    lam_tilde_prime: complex
-    d_tilde: complex
-    q_tilde: complex
-    lam_tilde: complex
+    t: float | np.ndarray
+    lam_t: complex | np.ndarray
+    d_tilde_prime: complex | np.ndarray
+    q_tilde_prime: complex | np.ndarray
+    lam_tilde_prime: complex | np.ndarray
+    d_tilde: complex | np.ndarray
+    q_tilde: complex | np.ndarray
+    lam_tilde: complex | np.ndarray
 
 
-def _raw_time_coeffs(c: Couplings, omega_e: float, t):
-    """Vector-friendly core of :func:`time_coeffs`.
+def time_coeffs(c: Couplings, omega_e: float, t) -> TimeCoeffs:
+    """Evaluate the evolved-operator coefficients at a time or an ndarray of
+    times.
 
-    Returns (lam_t, d_prime, q_prime, lam_prime) for scalar or ndarray t.
     Written in terms of (1 - e^{i n theta}) so every coefficient lands on
     its t = 0 value exactly in floating point; relies on the identities
     gamma_plus**2 - gamma_minus**2 = 1 and
     lambda_e*(gamma_plus - gamma_minus) = lambda_g, which hold to all
     orders algebraically but not termwise in floats.
     """
-    theta = omega_e * np.asarray(t)
-    e1 = np.exp(1j * theta)
+    e1 = np.exp(1j * (omega_e * t))
     one_m_e1 = 1.0 - e1
     one_m_e2 = 1.0 - e1 * e1
-    lam_t = c.lambda_g * one_m_e1
     d_prime = 1.0 + c.gamma_minus**2 * one_m_e2
     q_prime = c.gamma_plus * c.gamma_minus * one_m_e2
     lam_prime = c.lambda_e * c.gamma_minus * one_m_e2 + c.lambda_g * one_m_e1
-    return lam_t, d_prime, q_prime, lam_prime
-
-
-def time_coeffs(c: Couplings, omega_e: float, t: float) -> TimeCoeffs:
-    """Evaluate the evolved-operator coefficients at a single time."""
-    lam_t, d_prime, q_prime, lam_prime = _raw_time_coeffs(c, omega_e, float(t))
-    phase = np.exp(-1j * omega_e * float(t))
+    phase = np.exp(-1j * omega_e * t)
     return TimeCoeffs(
-        t=float(t),
-        lam_t=complex(lam_t),
-        d_tilde_prime=complex(d_prime),
-        q_tilde_prime=complex(q_prime),
-        lam_tilde_prime=complex(lam_prime),
-        d_tilde=complex(phase * d_prime),
-        q_tilde=complex(phase * q_prime),
-        lam_tilde=complex(phase * lam_prime),
+        t=t,
+        lam_t=c.lambda_g * one_m_e1,
+        d_tilde_prime=d_prime,
+        q_tilde_prime=q_prime,
+        lam_tilde_prime=lam_prime,
+        d_tilde=phase * d_prime,
+        q_tilde=phase * q_prime,
+        lam_tilde=phase * lam_prime,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, TruncationError
+from .errors import TruncationError
 from .model import Couplings, ThermalParams
 
 __all__ = [
@@ -28,13 +28,11 @@ __all__ = [
     "Propagator",
     "destroy",
     "build_excited_hamiltonian",
-    "evolve",
     "observable",
     "excited_vacuum",
     "thermal_correlation",
     "franck_condon_weights",
     "thermal_line_list",
-    "convergence_sweep",
 ]
 
 BUFFER_TOL = 1e-8
@@ -135,12 +133,6 @@ class Propagator:
         ts = np.asarray(ts, dtype=float)
         weights = self.modes[p, :] ** 2
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
-
-
-def evolve(hamiltonian: np.ndarray, state: OracleState, t: float,
-           check_buffer: bool = True) -> OracleState:
-    """One-shot evolution; build a :class:`Propagator` for repeated times."""
-    return Propagator(hamiltonian, state.basis).evolve(state, t, check_buffer)
 
 
 def observable(state: OracleState, op: np.ndarray) -> float:
@@ -276,36 +268,3 @@ def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
                 )
     return lines
 
-
-def convergence_sweep(evaluate, dims):
-    """Evaluate a scalar at increasing basis sizes.
-
-    Returns rows (dim, value, delta) with delta = |value - previous|.
-    Once consecutive deltas are both above float noise they must not grow;
-    growth means the quantity is not converging in basis size and raises
-    :class:`ConvergenceError`.
-    """
-    dims = [int(d) for d in dims]
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims must be strictly increasing")
-    rows = []
-    prev_value = None
-    prev_delta = None
-    for dim in dims:
-        value = evaluate(dim)
-        delta = None if prev_value is None else abs(value - prev_value)
-        rows.append((dim, value, delta))
-        if (
-            prev_delta is not None
-            and delta is not None
-            and min(delta, prev_delta) > 1e-13
-            and delta > prev_delta * (1.0 + 1e-9)
-        ):
-            raise ConvergenceError(
-                f"non-monotone convergence at dim={dim}: "
-                f"delta grew {prev_delta:.3e} -> {delta:.3e}"
-            )
-        if delta is not None:
-            prev_delta = delta
-        prev_value = value
-    return rows

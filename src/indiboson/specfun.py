@@ -1,22 +1,24 @@
 """Orthogonal-polynomial sequences via upward recurrences.
 
 Each function returns the whole sequence up to the requested order as a
-numpy array, real for real arguments and complex for complex ones. The
-three-term recurrences are numerically benign here because the closed
-forms only ever combine neighbouring orders of comparable magnitude.
+numpy array of shape ``(order + 1,) + np.shape(x)``, so ``seq[p]`` is the
+order-p polynomial at every argument; it is real for real arguments and
+complex for complex ones. The three-term recurrences are numerically
+benign here because the closed forms only ever combine neighbouring orders
+of comparable magnitude.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["laguerre_seq", "laguerre_half_seq", "hermite_seq"]
+__all__ = ["laguerre_seq", "laguerre_half_seq"]
 
 
 def _empty_seq(order: int, x):
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return np.empty(order + 1, dtype=np.result_type(x, 1.0))
+    return np.empty((order + 1,) + np.shape(x), dtype=np.result_type(x, 1.0))
 
 
 def laguerre_seq(order: int, x):
@@ -39,15 +41,4 @@ def laguerre_half_seq(order: int, x):
         out[1] = 0.5 - x
     for p in range(2, order + 1):
         out[p] = ((2.0 * p - 1.5 - x) * out[p - 1] - (p - 1.5) * out[p - 2]) / p
-    return out
-
-
-def hermite_seq(order: int, z):
-    """Physicists' Hermite polynomials H_0(z) .. H_order(z)."""
-    out = _empty_seq(order, z)
-    out[0] = 1.0
-    if order >= 1:
-        out[1] = 2.0 * z
-    for n in range(1, order):
-        out[n + 1] = 2.0 * z * out[n] - 2.0 * n * out[n - 1]
     return out

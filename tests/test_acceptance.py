@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from indiboson.analytic import (
-    correlation_linear,
-    correlation_quadratic,
+    correlation,
     excited_mean_energy,
+    overlap,
     overlap_linear,
     overlap_quadratic,
     phonon_number_linear,
@@ -178,10 +178,7 @@ def test_6_thermal_correlation_vs_reference():
         beta = 1.0 / c.omega_e  # beta * omega_e = 1 on every setup
         th = ThermalParams(beta)
         ts = _preset_times(name)
-        if c.equal_frequencies:
-            analytic = np.array([correlation_linear(th, c, t).value for t in ts])
-        else:
-            analytic = np.array([correlation_quadratic(th, c, t).value for t in ts])
+        analytic = correlation(th, c, ts)
         reference = thermal_correlation(th, c, basis, ts)
         worst = max(worst, float(np.max(np.abs(analytic - reference))))
     assert worst <= 1e-6, f"max deviation {worst:.3e}"
@@ -190,21 +187,15 @@ def test_6_thermal_correlation_vs_reference():
     for name in PRESET_NAMES:
         c = _couplings(name)
         th = ThermalParams(1.0 / c.omega_e)
-        if c.equal_frequencies:
-            assert correlation_linear(th, c, 0.0).value == 1.0 + 0.0j
-        else:
-            assert correlation_quadratic(th, c, 0.0).value == 1.0 + 0.0j
+        assert correlation(th, c, [0.0])[0] == 1.0 + 0.0j
 
     # pure displacement repeats after one mode period
     c = _couplings("fig2-linear")
     th = ThermalParams(1.0)
     period = 2.0 * math.pi / c.omega_e
-    drift = max(
-        abs(
-            abs(correlation_linear(th, c, t + period).value)
-            - abs(correlation_linear(th, c, t).value)
-        )
-        for t in np.linspace(0.0, period, 40)
+    ts = np.linspace(0.0, period, 40)
+    drift = np.max(
+        np.abs(np.abs(correlation(th, c, ts + period)) - np.abs(correlation(th, c, ts)))
     )
     assert drift <= 1e-9, f"displaced-period drift {drift:.3e}"
 
@@ -213,19 +204,9 @@ def test_6_thermal_correlation_vs_reference():
     c = _couplings("fig2-both")
     th = ThermalParams(0.5)
     ts = np.linspace(0.0, 2.0 * math.pi / c.omega_g, 200)
-    g_abs = np.array([abs(correlation_quadratic(th, c, t).value) for t in ts])
-    shifted_e = np.array(
-        [
-            abs(correlation_quadratic(th, c, t + 2.0 * math.pi / c.omega_e).value)
-            for t in ts
-        ]
-    )
-    shifted_g = np.array(
-        [
-            abs(correlation_quadratic(th, c, t + 2.0 * math.pi / c.omega_g).value)
-            for t in ts
-        ]
-    )
+    g_abs = np.abs(correlation(th, c, ts))
+    shifted_e = np.abs(correlation(th, c, ts + 2.0 * math.pi / c.omega_e))
+    shifted_g = np.abs(correlation(th, c, ts + 2.0 * math.pi / c.omega_g))
     assert np.max(np.abs(shifted_e - g_abs)) > 1e-3
     assert np.max(np.abs(shifted_g - g_abs)) <= 1e-12
     _report(6, "thermal correlation vs reference", f"worst {worst:.2e}")
@@ -275,16 +256,12 @@ def test_9_reference_figure_shape():
     sq = _couplings("fig2-quadratic")
     shift = 2.0 * math.pi / sq.omega_e  # = pi for omega_e = 2
     ts = np.linspace(0.0, shift, 50)
-    p_sq = np.array([overlap_quadratic(0, sq, t).probability for t in ts])
-    p_sq_shift = np.array(
-        [overlap_quadratic(0, sq, t + shift).probability for t in ts]
-    )
+    p_sq = np.abs(overlap(0, sq, ts)) ** 2
+    p_sq_shift = np.abs(overlap(0, sq, ts + shift)) ** 2
     assert np.max(np.abs(p_sq_shift - p_sq)) < 1e-12
     lin = _couplings("fig2-linear")
-    p_lin = np.array([overlap_linear(0, lin, t).probability for t in ts])
-    p_lin_shift = np.array(
-        [overlap_linear(0, lin, t + shift).probability for t in ts]
-    )
+    p_lin = np.abs(overlap(0, lin, ts)) ** 2
+    p_lin_shift = np.abs(overlap(0, lin, ts + shift)) ** 2
     assert np.max(np.abs(p_lin_shift - p_lin)) > 0.1
 
     # (b) adding the frequency change on top of the displacement pushes the
@@ -292,8 +269,8 @@ def test_9_reference_figure_shape():
     # (and shifts them off the half period)
     both = _couplings("fig2-both")
     tgrid = np.linspace(0.0, 4.0 * math.pi, 2001)
-    p_both = np.array([overlap_quadratic(0, both, t).probability for t in tgrid])
-    p_blue = np.array([overlap_linear(0, lin, t).probability for t in tgrid])
+    p_both = np.abs(overlap(0, both, tgrid)) ** 2
+    p_blue = np.abs(overlap(0, lin, tgrid)) ** 2
     assert p_both.min() < p_blue.min()
     assert abs(tgrid[p_both.argmin()] - math.pi) > 0.5
 

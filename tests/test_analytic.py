@@ -1,4 +1,4 @@
-"""Closed-form overlaps, generating function, and correlation samples.
+"""Closed-form overlaps, generating function, and thermal correlation.
 
 Frozen expected values were computed by hand from the stated closed forms
 (Laguerre spot values, Poisson factors, squeeze factors at quarter and
@@ -12,17 +12,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from indiboson import analytic
 from indiboson.analytic import (
-    CorrelationSample,
     OverlapValue,
-    correlation_linear,
-    correlation_quadratic,
+    correlation,
     excited_mean_energy,
     excited_phonon_number,
     generating_function,
+    overlap,
     overlap_linear,
     overlap_quadratic,
     overlap_quadratic_series,
+    phonon_number,
     phonon_number_linear,
     phonon_number_quadratic,
     polaron_state_check,
@@ -48,12 +49,22 @@ times = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 # result containers
 
 
-def test_result_containers_reject_unphysical_magnitudes():
+def test_result_containers_reject_unphysical_magnitudes(monkeypatch, displaced):
     with pytest.raises(ValueError, match="overlap magnitude"):
         OverlapValue(p=0, t=0.0, value=1.1 + 0.0j)
-    with pytest.raises(ValueError, match="correlation magnitude"):
-        CorrelationSample(t=0.0, value=-1.2 + 0.0j)
     assert OverlapValue(p=0, t=0.0, value=0.6j).probability == pytest.approx(0.36)
+    # an array of times is checked as a whole: one bad entry is enough
+    ts = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="overlap magnitude"):
+        OverlapValue(p=0, t=ts, value=np.array([1.0, 0.3j, 1.1]))
+    ok = OverlapValue(p=0, t=ts, value=np.array([1.0, 0.6j, -0.5]))
+    assert ok.probability == pytest.approx([1.0, 0.36, 0.25])
+    # the correlation carries the same whole-array guard
+    monkeypatch.setattr(
+        analytic, "_correlation_linear_values", lambda th, c, ts: np.full(ts.shape, -1.2 + 0j)
+    )
+    with pytest.raises(ValueError, match="correlation magnitude"):
+        correlation(T_ZERO, displaced, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +228,37 @@ def test_overlap_quadratic_magnitude_bounded(ratio, lam, t):
 
 
 # ---------------------------------------------------------------------------
+# array paths
+
+
+@pytest.mark.parametrize("p", [0, 5, 60])
+@pytest.mark.parametrize("name", ["displaced", "squeezed", "mixed"])
+def test_array_paths_equal_per_time_calls(request, name, p):
+    c = request.getfixturevalue(name)
+    ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 400)
+    kernel = overlap_linear if c.equal_frequencies else overlap_quadratic
+    amp = overlap(p, c, ts)
+    assert amp.shape == ts.shape
+    assert np.max(np.abs(amp - [kernel(p, c, t).value for t in ts])) <= 1e-13
+    phon_kernel = phonon_number_linear if c.equal_frequencies else phonon_number_quadratic
+    phon = phonon_number(p, c, ts)
+    assert np.max(np.abs(phon - [phon_kernel(p, c, t) for t in ts])) <= 1e-13
+    th = ThermalParams(0.5)
+    g = correlation(th, c, ts)
+    assert np.max(np.abs(g - [correlation(th, c, [t])[0] for t in ts])) <= 1e-13
+
+
+def test_scalar_kernels_keep_scalar_types(mixed):
+    v = overlap_quadratic(2, mixed, 0.3)
+    assert type(v.value) is complex and type(v.t) is float
+    assert isinstance(v.probability, float)
+    assert isinstance(phonon_number_quadratic(2, mixed, 0.3), float)
+    arr = overlap_quadratic(2, mixed, np.array([0.3, 0.4]))
+    assert arr.value.shape == (2,)
+    assert arr.value[0] == pytest.approx(v.value, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # generating function
 
 
@@ -278,20 +320,20 @@ def test_generating_function_pole_and_divergence_guards(mixed):
 
 
 def test_correlation_starts_exactly_at_one(displaced, squeezed, mixed):
-    assert correlation_linear(ThermalParams(1.0), displaced, 0.0).value == 1.0 + 0.0j
+    assert correlation(ThermalParams(1.0), displaced, [0.0])[0] == 1.0 + 0.0j
     for c in (squeezed, mixed):
         for th in (T_ZERO, ThermalParams(0.5)):
-            assert correlation_quadratic(th, c, 0.0).value == 1.0 + 0.0j
+            assert correlation(th, c, [0.0])[0] == 1.0 + 0.0j
 
 
 def test_correlation_linear_frozen_magnitudes(displaced):
     # T = 0 at omega*t = pi: |G| = e^{-2 lambda**2}
-    g_cold = correlation_linear(T_ZERO, displaced, math.pi)
-    assert abs(g_cold.value) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    g_cold = correlation(T_ZERO, displaced, [math.pi])[0]
+    assert abs(g_cold) == pytest.approx(math.exp(-2.0), rel=1e-12)
     # beta*omega = 1 adds the occupation factor e^{-4*nbar}
     nbar = 1.0 / (math.e - 1.0)
-    g_warm = correlation_linear(ThermalParams(1.0), displaced, math.pi)
-    assert abs(g_warm.value) == pytest.approx(
+    g_warm = correlation(ThermalParams(1.0), displaced, [math.pi])[0]
+    assert abs(g_warm) == pytest.approx(
         math.exp(-2.0) * math.exp(-4.0 * nbar), rel=1e-12
     )
 
@@ -299,17 +341,17 @@ def test_correlation_linear_frozen_magnitudes(displaced):
 def test_correlation_linear_is_periodic(displaced):
     th = ThermalParams(1.0)
     period = 2.0 * math.pi / displaced.omega_e
-    for t in (0.0, 0.37, 1.9, 3.3):
-        a = correlation_linear(th, displaced, t).value
-        b = correlation_linear(th, displaced, t + period).value
-        assert abs(b) == pytest.approx(abs(a), abs=1e-12)
+    ts = np.array([0.0, 0.37, 1.9, 3.3])
+    a = correlation(th, displaced, ts)
+    b = correlation(th, displaced, ts + period)
+    assert np.abs(b) == pytest.approx(np.abs(a), abs=1e-12)
 
 
 def test_cold_correlation_is_vacuum_overlap_with_gap_phase(mixed):
     # at T = 0 only the vacuum contributes; the correlation adds the
     # electronic gap phase and refers phases to the ground zero point
     for t in (0.45, 1.8, 2.6):
-        g = correlation_quadratic(T_ZERO, mixed, t).value
+        g = correlation(T_ZERO, mixed, [t])[0]
         vac = overlap_quadratic(0, mixed, t).value
         expected = vac * np.exp(-1j * mixed.omega_eg * t) * np.exp(
             0.5j * mixed.omega_g * t
@@ -319,21 +361,21 @@ def test_cold_correlation_is_vacuum_overlap_with_gap_phase(mixed):
 
 def test_correlation_quadratic_near_infinite_temperature_hits_pole(mixed):
     with pytest.raises(PoleError, match="thermal"):
-        correlation_quadratic(ThermalParams(1e-13), mixed, 0.0)
+        correlation(ThermalParams(1e-13), mixed, [0.0])
 
 
 @given(ratio=ratios, lam=lambdas, t=times, beta=st.floats(0.2, 5.0))
 def test_correlation_magnitude_bounded(ratio, lam, t, beta):
     c = make(omega_e=ratio, lam=lam)
-    g = correlation_quadratic(ThermalParams(beta), c, t)
-    assert abs(g.value) <= 1.0 + 1e-9
+    g = correlation(ThermalParams(beta), c, [t])[0]
+    assert abs(g) <= 1.0 + 1e-9
 
 
 def test_correlation_carries_electronic_gap(displaced):
     c = make(lam=1.0, eps_e=1.5)
     t = 0.7
-    with_gap = correlation_linear(ThermalParams(1.0), c, t).value
-    no_gap = correlation_linear(ThermalParams(1.0), displaced, t).value
+    with_gap = correlation(ThermalParams(1.0), c, [t])[0]
+    no_gap = correlation(ThermalParams(1.0), displaced, [t])[0]
     assert with_gap == pytest.approx(no_gap * np.exp(-1.5j * t), abs=1e-13)
 
 

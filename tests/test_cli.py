@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import indiboson
+from indiboson import validation
 from indiboson.cli import build_run_config, main, parse_config_text
 from indiboson.errors import ConfigError
 
@@ -92,6 +98,20 @@ def test_build_run_config_defaults():
     assert cfg.oracle_dim == 128
     assert cfg.fmt == "csv"
     assert cfg.initial_p == 0
+    # thermal comparisons take at least 256 levels unless --oracle-dim pins them
+    assert cfg.thermal_dim == 256
+    raw = {"omega_g": 1.0, "omega_e": 2.0, "lambda_g": 1.0, "oracle_dim": 64}
+    assert build_run_config(raw).thermal_dim == 256
+    assert build_run_config(raw, dim_overridden=True).thermal_dim == 64
+    assert build_run_config(dict(raw, oracle_dim=300)).thermal_dim == 300
+
+
+def test_cli_imports_without_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(indiboson.__file__).parents[1]))
+    code = "import sys, indiboson.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +214,24 @@ def test_correlation_oracle_columns_agree(tmp_path, capsys):
         assert np.max(np.abs(got - ref)) < 1e-6
 
 
+def test_thermal_oracle_defaults_to_the_validate_dimension(capsys):
+    # at 128 levels the fig2-both thermal oracle reaches its buffer; the
+    # default is the 256 levels validate uses, and the meta says so
+    code, out, err = run(["correlation", "--preset", "fig2-both", "--oracle"], capsys)
+    assert code == 0, err
+    meta, columns = parse_csv(out)
+    assert meta["oracle_dim"] == "256"
+    got = np.array([float(v) for v in columns["g_real"]])
+    ref = np.array([float(v) for v in columns["oracle_g_real"]])
+    assert np.max(np.abs(got - ref)) < 1e-6
+    # a pinned dimension is honoured, refusal included
+    code, _, err = run(
+        ["correlation", "--preset", "fig2-both", "--oracle", "--oracle-dim", "128"], capsys
+    )
+    assert code == 3
+    assert "increase the basis" in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "lines.json"
     code, out, _ = run(
@@ -284,6 +322,32 @@ def test_validate_passes_at_default_sizes(capsys):
     assert "overall: PASS" in out
     for name in ("fig2-linear", "fig2-quadratic", "fig2-both"):
         assert name in out
+
+
+def test_validate_diagonalises_once_per_set(monkeypatch):
+    built = []
+
+    class Counting(validation.Propagator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(validation, "Propagator", Counting)
+    specs = [("a", build_run_config({"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 1.0}).params,
+              1.0, 0)]
+    report = validation.run_validation(specs, oracle_dim=64)
+    assert report.all_passed
+    assert len(built) == 1
+
+    def broken(c, basis):
+        raise RuntimeError("assembled Hamiltonian is not Hermitian")
+
+    monkeypatch.setattr(validation, "build_excited_hamiltonian", broken)
+    rows = validation.run_validation(specs, oracle_dim=64).rows
+    failed = {r.check for r in rows if not r.passed}
+    assert failed == {"eigenvalue_ladder", "return_amplitude", "phonon_number",
+                      "excited_energy"}
+    assert all("not Hermitian" in r.note for r in rows if not r.passed)
 
 
 def test_validate_fails_on_undersized_basis(tmp_path, capsys):

@@ -64,7 +64,6 @@ def test_thermal_limits():
     cold = ThermalParams(math.inf)
     assert cold.boltzmann(1.0) == 0.0
     assert cold.mean_occupation(1.0) == 0.0
-    assert cold.ground_partition(1.0) == 1.0
     th = ThermalParams(1.0)
     assert th.mean_occupation(1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-15)
     # beta*omega > 700 would overflow expm1; occupation underflows instead

@@ -1,9 +1,8 @@
 """Behavior of the truncated-basis reference machinery itself.
 
 The point of these tests is that the reference is trustworthy: operators
-have the right matrix elements, propagation is unitary, truncation
-contamination is detected instead of averaged away, and the convergence
-sweep rejects non-monotone sequences.
+have the right matrix elements, propagation is unitary, and truncation
+contamination is detected instead of averaged away.
 """
 
 import math
@@ -12,16 +11,14 @@ import numpy as np
 import pytest
 
 from indiboson.analytic import spectrum_zero_T, vacuum_expansion_linear
-from indiboson.errors import ConvergenceError, TruncationError
+from indiboson.errors import TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
 from indiboson.oracle import (
     OracleState,
     Propagator,
     TruncatedBasis,
     build_excited_hamiltonian,
-    convergence_sweep,
     destroy,
-    evolve,
     excited_vacuum,
     franck_condon_weights,
     observable,
@@ -107,7 +104,7 @@ def test_return_amplitude_agrees_with_explicit_evolution():
     ts = np.array([0.0, 0.6, 1.9])
     amp = prop.return_amplitude(2, ts, energy_offset=c.epsilon_e)
     for k, t in enumerate(ts):
-        state = evolve(h, OracleState.number_state(basis, 2), t)
+        state = Propagator(h, basis).evolve(OracleState.number_state(basis, 2), t)
         direct = state.amplitudes[2] * np.exp(1j * c.epsilon_e * t)
         assert amp[k] == pytest.approx(direct, abs=1e-12)
 
@@ -161,7 +158,7 @@ def test_excited_vacuum_rejects_undersized_basis():
 
 
 def test_thermal_correlation_starts_near_one_and_matches_closed_form():
-    from indiboson.analytic import correlation_linear
+    from indiboson.analytic import correlation
 
     c = make(lam=1.0)
     th = ThermalParams(1.0)
@@ -170,8 +167,7 @@ def test_thermal_correlation_starts_near_one_and_matches_closed_form():
     g = thermal_correlation(th, c, basis, ts)
     # weights below the 1e-12 floor are dropped, so G(0) is 1 minus dust
     assert abs(g[0] - 1.0) < 5e-12
-    for k, t in enumerate(ts):
-        assert g[k] == pytest.approx(correlation_linear(th, c, t).value, abs=1e-9)
+    assert g == pytest.approx(correlation(th, c, ts), abs=1e-9)
 
 
 def test_thermal_weights_overflow_small_basis():
@@ -204,31 +200,3 @@ def test_cold_line_list_agrees_with_analytic_lines():
         assert got[n].offset == pytest.approx(want.offset, abs=1e-8)
         assert got[n].weight == pytest.approx(want.weight, abs=1e-8)
 
-
-# ---------------------------------------------------------------------------
-# convergence sweep
-
-
-def test_convergence_sweep_reports_decreasing_deltas():
-    rows = convergence_sweep(lambda dim: 1.0 + 2.0 ** (-dim), [4, 8, 16, 32])
-    assert [dim for dim, *_ in rows] == [4, 8, 16, 32]
-    assert rows[0][2] is None
-    deltas = [delta for *_, delta in rows[1:]]
-    assert all(b < a for a, b in zip(deltas, deltas[1:]))
-
-
-def test_convergence_sweep_rejects_growth():
-    values = {8: 0.0, 16: 1.0, 32: 1.5, 64: 3.0}
-    with pytest.raises(ConvergenceError, match="non-monotone"):
-        convergence_sweep(lambda dim: values[dim], [8, 16, 32, 64])
-
-
-def test_convergence_sweep_ignores_float_noise():
-    values = {8: 1.0, 16: 1.0 + 1e-15, 32: 1.0, 64: 1.0 + 2e-15}
-    rows = convergence_sweep(lambda dim: values[dim], [8, 16, 32, 64])
-    assert len(rows) == 4
-
-
-def test_convergence_sweep_requires_increasing_dims():
-    with pytest.raises(ValueError, match="increasing"):
-        convergence_sweep(lambda dim: 0.0, [8, 8, 16])

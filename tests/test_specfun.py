@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indiboson.specfun import hermite_seq, laguerre_half_seq, laguerre_seq
+from indiboson.specfun import laguerre_half_seq, laguerre_seq
 
 # ---------------------------------------------------------------------------
 # exact references: complex numbers as Fraction pairs
@@ -71,19 +71,6 @@ def laguerre_half_exact(p, x):
     return acc
 
 
-def hermite_exact(n, z):
-    """H_n(z) = n! sum_m (-1)**m (2z)**(n - 2m) / (m! (n - 2m)!)"""
-    z2k = c_powers(c_scale(Fraction(2), z), n)
-    acc = c_num(0)
-    for m in range(n // 2 + 1):
-        coef = Fraction(
-            (-1) ** m * math.factorial(n),
-            math.factorial(m) * math.factorial(n - 2 * m),
-        )
-        acc = c_add(acc, c_scale(coef, z2k[n - 2 * m]))
-    return acc
-
-
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=16
 )
@@ -104,8 +91,6 @@ def test_reference_spot_values():
         Fraction(5, 16),
         Fraction(35, 128),
     ]
-    assert [hermite_exact(n, c_num(0))[0] for n in range(5)] == [1, 0, -2, 0, 12]
-    assert hermite_exact(3, c_num(1)) == c_num(-4)
 
 
 @given(p=st.integers(0, 12), x=small_fractions)
@@ -142,15 +127,6 @@ def test_laguerre_half_matches_series_complex(order, re, im):
         assert seq[p] == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
-@given(order=st.integers(0, 16), re=small_fractions, im=small_fractions)
-def test_hermite_matches_series_complex(order, re, im):
-    z = complex(float(re), float(im))
-    seq = hermite_seq(order, z)
-    for n in (0, order // 2, order):
-        exact = c_float(hermite_exact(n, c_num(re, im)))
-        assert seq[n] == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-
 def test_recurrences_hold_at_full_order_and_range():
     # orders to 30 and |argument| up to ~10, the regime the overlap series
     # actually exercises; scale-relative 1e-10 per the numerical contract
@@ -163,7 +139,6 @@ def test_recurrences_hold_at_full_order_and_range():
         sequences = (
             (laguerre_seq(order, x), laguerre_exact),
             (laguerre_half_seq(order, x), laguerre_half_exact),
-            (hermite_seq(order, x), hermite_exact),
         )
         for p in (order // 2, order):
             for seq, exact_fn in sequences:
@@ -192,7 +167,17 @@ def test_sequences_are_full_and_typed():
     assert laguerre_seq(0, 0.3).shape == (1,)
     assert laguerre_seq(5, 0.3).dtype == np.float64
     assert laguerre_half_seq(5, 0.3 + 0.1j).dtype == np.complex128
-    assert hermite_seq(3, 1.0).tolist() == [1.0, 2.0, 2.0, -4.0]
+
+
+def test_sequences_accept_array_arguments():
+    # shape (order + 1,) + x.shape, each slice the scalar sequence up to
+    # roundoff (array complex arithmetic may round differently)
+    xs = np.array([[0.3, -1.2], [2.5, 0.0]])
+    for fn, arg in ((laguerre_seq, xs), (laguerre_half_seq, xs + 0.7j)):
+        seq = fn(7, arg)
+        assert seq.shape == (8, 2, 2)
+        for idx in np.ndindex(arg.shape):
+            assert seq[(slice(None),) + idx] == pytest.approx(fn(7, arg[idx]), rel=1e-14)
 
 
 def test_negative_order_rejected():
@@ -200,5 +185,3 @@ def test_negative_order_rejected():
         laguerre_seq(-1, 0.0)
     with pytest.raises(ValueError, match="order"):
         laguerre_half_seq(-2, 0.0)
-    with pytest.raises(ValueError, match="order"):
-        hermite_seq(-1, 0.0)

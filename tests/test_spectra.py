@@ -124,6 +124,22 @@ def test_line_cap_guards_runaway_lists():
         spectrum_zero_T(make(omega_e=1.5, lam=50.0))
 
 
+def test_line_list_names_the_weight_that_fails():
+    # the error names the first bad weight instead of running into the
+    # line cap, and no numpy overflow warning escapes on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # (2*pi/gamma_plus)*exp(-lambda_e*lambda_g/gamma_plus) underflows
+        with pytest.raises(LineListError, match="spectral weight 0 underflows"):
+            spectrum_zero_T(make(omega_e=1.5, lam=50.0))
+        # exp(-S) underflows for the Poisson weights
+        with pytest.raises(LineListError, match="spectral weight 0 underflows"):
+            spectrum_zero_T(make(lam=50.0))
+        # the unnormalised Hermite stream overflows to nan mid-list
+        with pytest.raises(LineListError, match=r"spectral weight \d+ is not finite"):
+            spectrum_zero_T(make(omega_e=1.5, lam=6.0))
+
+
 # ---------------------------------------------------------------------------
 # Lorentzian broadening
 
