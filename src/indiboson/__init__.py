@@ -20,7 +20,6 @@ from .analytic import (
     overlap,
     overlap_linear,
     overlap_quadratic,
-    overlap_quadratic_series,
     phonon_number,
     phonon_number_linear,
     phonon_number_quadratic,
@@ -35,6 +34,7 @@ from .errors import (
     DivergenceWarning,
     InsufficientDecayWarning,
     LineListError,
+    OracleError,
     PoleError,
     ResolutionWarning,
     TruncationError,
@@ -60,6 +60,7 @@ __all__ = [
     "DivergenceWarning",
     "InsufficientDecayWarning",
     "LineListError",
+    "OracleError",
     "PoleError",
     "ResolutionWarning",
     "TruncationError",
@@ -72,7 +73,6 @@ __all__ = [
     "overlap",
     "overlap_linear",
     "overlap_quadratic",
-    "overlap_quadratic_series",
     "phonon_number",
     "phonon_number_linear",
     "phonon_number_quadratic",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import powerseries
 from .errors import (
     DivergenceWarning,
     InsufficientDecayWarning,
@@ -46,7 +45,6 @@ __all__ = [
     "excited_mean_energy",
     "overlap_linear",
     "overlap_quadratic",
-    "overlap_quadratic_series",
     "generating_function",
     "spectrum_zero_T",
     "spectrum_finite_T",
@@ -238,42 +236,6 @@ def _t0_return_factor(c: Couplings, t):
     denom = 1.0 + c.gamma_minus**2 * (1.0 - em1 * em1)
     shift = c.lambda_g * c.lambda_e * (1.0 - em1) / (c.gamma_plus - c.gamma_minus * em1)
     return denom**-0.5 * np.exp(-shift)
-
-
-def overlap_quadratic_series(p_max: int, c: Couplings, t: float) -> np.ndarray:
-    """Return amplitudes for p = 0..p_max via Taylor extraction from the
-    generating function.
-
-    Independent of the partial-fraction closed form: the two square-root
-    factors enter through the central-binomial series for (1-u)**-1/2 and
-    the essential-singularity factor through a power-series exponential.
-    """
-    p_max = _require_order(p_max)
-    tc = time_coeffs(c, c.omega_e, t)
-    d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
-    n = p_max + 1
-
-    def binom_factor(pole):
-        # (1 - x/pole)^{-1/2} = sum_k C(2k, k) (x / (4 pole))^k
-        out = np.empty(n, dtype=complex)
-        out[0] = 1.0
-        for k in range(1, n):
-            out[k] = out[k - 1] * (2.0 * k - 1.0) / (2.0 * k) / pole
-        return out
-
-    core = powerseries.multiply(binom_factor(1.0 + q), binom_factor(1.0 - q))
-    expo = np.zeros(n, dtype=complex)
-    if n > 1:
-        base = lam * lam / (d * (1.0 - q))
-        term = base
-        for k in range(1, n):
-            term = term / (1.0 - q)
-            expo[k] = term
-    coeffs = _t0_return_factor(c, t) * powerseries.multiply(
-        core, powerseries.exponential(expo)
-    )
-    phases = np.exp(-0.5j * c.omega_e * t) * d ** np.arange(n)
-    return phases * coeffs
 
 
 def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:

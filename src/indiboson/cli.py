@@ -39,7 +39,7 @@ from .analytic import (
     spectrum_zero_T,
     vacuum_ground_phonon_number,
 )
-from .errors import ConfigError, LineListError, PoleError, TruncationError
+from .errors import ConfigError, LineListError, OracleError, PoleError, TruncationError
 from .model import ModelParams, ThermalParams, derive_couplings
 from .oracle import (
     OracleState,
@@ -507,7 +507,7 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return 3
-    except (TruncationError, LineListError) as exc:
+    except (TruncationError, LineListError, OracleError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -5,6 +5,7 @@ __all__ = [
     "PoleError",
     "TruncationError",
     "LineListError",
+    "OracleError",
     "DivergenceWarning",
     "InsufficientDecayWarning",
     "ResolutionWarning",
@@ -30,6 +31,12 @@ class LineListError(RuntimeError):
     weight is not finite, complex or negative beyond roundoff, the first
     weight underflows to zero, or the list runs into its line cap before
     reaching the sum rule."""
+
+
+class OracleError(RuntimeError):
+    """Raised when a truncated-basis reference fails a consistency check
+    that no basis size can repair: the assembled Hamiltonian is not
+    Hermitian, or an expectation value keeps an imaginary residue."""
 
 
 class DivergenceWarning(UserWarning):

@@ -7,6 +7,11 @@ it once, and propagate exactly in the eigenbasis. The closed forms in
 of its formulas may be reused here (sharing its plain result containers
 is fine).
 
+The Hamiltonian is real symmetric, so its eigenbasis is real. Propagation
+and the expectation values of real operators stay in real arithmetic: a
+real matrix acts on a complex state through the state's (n, 2) float
+view, never through a complex copy of the matrix.
+
 The top eighth of the basis is treated as a buffer zone; population
 reaching it means the physics has hit the artificial wall and results are
 rejected via :class:`TruncationError` rather than silently degraded.
@@ -14,11 +19,12 @@ rejected via :class:`TruncationError` rather than silently degraded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import OracleError, TruncationError
 from .model import Couplings, ThermalParams
 
 __all__ = [
@@ -74,7 +80,7 @@ def build_excited_hamiltonian(c: Couplings, basis: TruncatedBasis) -> np.ndarray
     )
     scale = max(1.0, float(np.max(np.abs(h))))
     if float(np.max(np.abs(h - h.T))) > 1e-13 * scale:
-        raise RuntimeError("assembled Hamiltonian is not Hermitian")
+        raise OracleError("assembled Hamiltonian is not Hermitian")
     return h
 
 
@@ -92,7 +98,7 @@ class OracleState:
                 f"amplitudes shape {amps.shape} does not match dim {self.basis.dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -109,6 +115,14 @@ class OracleState:
         return float(np.sum(np.abs(self.amplitudes[self.basis.buffer_start :]) ** 2))
 
 
+def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for a real matrix and a complex vector, as one real
+    product on the vector's (n, 2) float view of real and imaginary parts;
+    ``mat @ vec`` would first copy all of mat into a complex array."""
+    pairs = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2)
+    return (mat @ pairs).view(complex).reshape(-1)
+
+
 class Propagator:
     """Eigendecomposition-backed propagator for a fixed Hamiltonian."""
 
@@ -119,7 +133,7 @@ class Propagator:
 
     def evolve(self, state: OracleState, t: float, check_buffer: bool = True) -> OracleState:
         phases = np.exp(-1j * self.energies * t)
-        amps = self.modes @ (phases * (self.modes.T @ state.amplitudes))
+        amps = _real_matvec(self.modes, phases * _real_matvec(self.modes.T, state.amplitudes))
         out = OracleState(amps, self.basis)
         if check_buffer and out.buffer_population > BUFFER_TOL:
             raise TruncationError(
@@ -136,14 +150,28 @@ class Propagator:
 
 
 def observable(state: OracleState, op: np.ndarray) -> float:
-    """<state|op|state> for Hermitian op; rejects nonreal results."""
+    """<state|op|state> for Hermitian op; rejects non-finite operators and
+    nonreal results. A real op is checked as max|op - op.T| and applied in
+    real arithmetic."""
     op = np.asarray(op)
-    scale = max(1.0, float(np.max(np.abs(op))))
-    if float(np.max(np.abs(op - op.conj().T))) > 1e-13 * scale:
+    real = not np.iscomplexobj(op)
+    if real:
+        amax = max(abs(float(op.max())), abs(float(op.min())))  # NaN propagates
+    else:
+        amax = float(np.max(np.abs(op)))
+    if not math.isfinite(amax):
+        raise ValueError("operator is not finite")
+    if real:
+        asym = float(np.max(op - op.T))  # op - op.T is antisymmetric: max is max|.|
+    else:
+        asym = float(np.max(np.abs(op - op.conj().T)))
+    # the comparisons are written so that a NaN fails them
+    if not asym <= 1e-13 * max(1.0, amax):
         raise ValueError("operator is not Hermitian")
-    value = complex(np.vdot(state.amplitudes, op @ state.amplitudes))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise RuntimeError(f"expectation value has imaginary residue {value.imag!r}")
+    applied = _real_matvec(op, state.amplitudes) if real else op @ state.amplitudes
+    value = complex(np.vdot(state.amplitudes, applied))
+    if not abs(value.imag) <= 1e-10 * max(1.0, abs(value.real)):
+        raise OracleError(f"expectation value has imaginary residue {value.imag!r}")
     return value.real
 
 

@@ -3,6 +3,10 @@
 A series is a plain 1-D numpy array ``a`` with ``a[k]`` the coefficient
 of x**k. Operations truncate to the length of their first argument, so a
 fixed working order propagates through a computation unchanged.
+
+The tests use this as an independent reference: line weights and return
+amplitudes extracted as Taylor coefficients of a generating function,
+without the closed forms of the package.
 """
 
 from __future__ import annotations

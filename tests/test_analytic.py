@@ -22,7 +22,6 @@ from indiboson.analytic import (
     overlap,
     overlap_linear,
     overlap_quadratic,
-    overlap_quadratic_series,
     phonon_number,
     phonon_number_linear,
     phonon_number_quadratic,
@@ -33,11 +32,52 @@ from indiboson.analytic import (
 from indiboson.errors import DivergenceWarning, PoleError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings, time_coeffs
 
+import powerseries  # the tests' independent series reference
+
 T_ZERO = ThermalParams(math.inf)
 
 
 def make(omega_g=1.0, omega_e=1.0, lam=0.0, eps_e=0.0):
     return derive_couplings(ModelParams.from_lambda_g(0.0, eps_e, omega_g, omega_e, lam))
+
+
+def overlap_quadratic_series(p_max, c, t):
+    """Return amplitudes for p = 0..p_max via Taylor extraction from the
+    generating function.
+
+    Independent of the partial-fraction closed form: the two square-root
+    factors enter through the central-binomial series for (1-u)**-1/2 and
+    the essential-singularity factor through a power-series exponential.
+    The vacuum factor is the z-series form
+    (gamma_plus**2 - gamma_minus**2 z**2)**-1/2
+    * exp(-lambda_g*lambda_e*(1 - z)/(gamma_plus - gamma_minus*z))
+    at z = e^{-i omega_e t}.
+    """
+    tc = time_coeffs(c, c.omega_e, t)
+    d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
+    n = p_max + 1
+
+    def binom_factor(pole):
+        # (1 - x/pole)^{-1/2} = sum_k C(2k, k) (x / (4 pole))^k
+        out = np.empty(n, dtype=complex)
+        out[0] = 1.0
+        for k in range(1, n):
+            out[k] = out[k - 1] * (2.0 * k - 1.0) / (2.0 * k) / pole
+        return out
+
+    core = powerseries.multiply(binom_factor(1.0 + q), binom_factor(1.0 - q))
+    expo = np.zeros(n, dtype=complex)
+    term = lam * lam / (d * (1.0 - q))
+    for k in range(1, n):
+        term = term / (1.0 - q)
+        expo[k] = term
+    z = np.exp(-1j * c.omega_e * t)
+    vacuum = (c.gamma_plus**2 - c.gamma_minus**2 * z * z) ** -0.5 * np.exp(
+        -c.lambda_g * c.lambda_e * (1.0 - z) / (c.gamma_plus - c.gamma_minus * z)
+    )
+    coeffs = vacuum * powerseries.multiply(core, powerseries.exponential(expo))
+    phases = np.exp(-0.5j * c.omega_e * t) * d ** np.arange(n)
+    return phases * coeffs
 
 
 ratios = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import indiboson
-from indiboson import validation
+from indiboson import cli, validation
 from indiboson.cli import build_run_config, main, parse_config_text
-from indiboson.errors import ConfigError
+from indiboson.errors import ConfigError, OracleError
 
 SAMPLE = """\
 # sample setup
@@ -305,6 +305,21 @@ def test_line_list_failure_is_a_numerical_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, message", [
+    ("build_excited_hamiltonian", "assembled Hamiltonian is not Hermitian"),
+    ("observable", "expectation value has imaginary residue 0.001"),
+])
+def test_oracle_failure_is_a_numerical_error(monkeypatch, capsys, name, message):
+    def failing(*args, **kwargs):
+        raise OracleError(message)
+
+    monkeypatch.setattr(cli, name, failing)
+    code, out, err = run(["evolve", "--preset", "fig2-linear", "--oracle"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"numerical error: {message}\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -340,7 +355,7 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     assert len(built) == 1
 
     def broken(c, basis):
-        raise RuntimeError("assembled Hamiltonian is not Hermitian")
+        raise OracleError("assembled Hamiltonian is not Hermitian")
 
     monkeypatch.setattr(validation, "build_excited_hamiltonian", broken)
     rows = validation.run_validation(specs, oracle_dim=64).rows

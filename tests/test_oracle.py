@@ -6,6 +6,7 @@ contamination is detected instead of averaged away.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,93 @@ def test_observable_guards():
     assert observable(state, num) == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ValueError, match="Hermitian"):
         observable(state, destroy(basis))
+    with pytest.raises(ValueError, match="Hermitian"):
+        observable(state, num + 1j * num)  # anti-Hermitian imaginary part
+    # a Hermitian complex operator passes: the momentum i(b^dag - b)
+    b = destroy(basis)
+    assert observable(state, 1j * (b.T - b)) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_observable_rejects_non_finite_operators(bad, dtype):
+    basis = TruncatedBasis(6)
+    state = OracleState.number_state(basis, 1)
+    op = np.diag(np.arange(6.0)).astype(dtype)
+    op[5, 5] = bad  # off the state's support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            observable(state, op)
+        op[5, 5] = 0.0
+        op[4, 3] = op[3, 4] = bad  # symmetric and off the diagonal
+        with pytest.raises(ValueError, match="not finite"):
+            observable(state, op)
+    amps = state.amplitudes.copy()
+    amps[0] = math.nan
+    with pytest.raises(ValueError, match="norm"):
+        OracleState(amps, basis)
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic on the real eigenbasis
+
+
+def _random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+@pytest.mark.parametrize("setup", ["displaced", "squeezed", "mixed"])
+def test_real_arithmetic_equals_complex_promotion(setup, dim, request):
+    c = request.getfixturevalue(setup)
+    basis = TruncatedBasis(dim)
+    h = build_excited_hamiltonian(c, basis)
+    prop = Propagator(h, basis)
+    modes = prop.modes.astype(complex)
+    b = destroy(basis)
+    ops = [np.diag(np.arange(dim, dtype=float)), h, b + b.T, 1j * (b.T - b)]
+    # the buffer guard is about physics; here only the arithmetic is compared
+    starts = [OracleState.number_state(basis, 3).amplitudes, _random_state(basis, dim)]
+    for a in starts:
+        for t in (0.0, 0.37, 2.9, 11.0):
+            phases = np.exp(-1j * prop.energies * t)
+            expect = modes @ (phases * (modes.T @ a))
+            got = prop.evolve(OracleState(a, basis), t, check_buffer=False).amplitudes
+            assert np.max(np.abs(got - expect)) <= 1e-13
+            for op in ops:
+                ref = complex(np.vdot(got, op.astype(complex) @ got)).real
+                value = observable(OracleState(got, basis), op)
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_real_arithmetic_accepts_any_complex_vector(mixed):
+    basis = TruncatedBasis(64)
+    prop = Propagator(build_excited_hamiltonian(mixed, basis), basis)
+    a = _random_state(basis, 7)
+    num = np.diag(np.arange(64.0))
+    expect = prop.evolve(OracleState(a, basis), 1.3, check_buffer=False).amplitudes
+    ref = observable(OracleState(a, basis), num)
+
+    strided = np.zeros(3 * basis.dim, dtype=complex)
+    strided[::3] = a
+    reversed_ = np.ascontiguousarray(a[::-1])[::-1]
+    column = np.zeros((basis.dim, 2), dtype=complex)
+    column[:, 1] = a
+    offset = np.concatenate([[0.5j], a])[1:]
+    frozen = a.copy()
+    frozen.setflags(write=False)
+    views = {"strided": strided[::3], "reversed": reversed_, "column": column[:, 1],
+             "offset": offset, "read-only": frozen}
+    for name, view in views.items():
+        assert np.array_equal(view, a), name
+        state = OracleState(view, basis)
+        got = prop.evolve(state, 1.3, check_buffer=False).amplitudes
+        assert np.max(np.abs(got - expect)) <= 1e-15, name
+        assert observable(state, num) == pytest.approx(ref, abs=1e-13), name
+        assert np.array_equal(view, a), name  # the input is never written
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Truncated Taylor arithmetic against exact rational coefficients."""
+"""The tests' truncated Taylor arithmetic against exact rational
+coefficients."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indiboson import powerseries
+import powerseries
 
 coeff = st.complex_numbers(
     max_magnitude=1.0, allow_nan=False, allow_infinity=False
