@@ -14,7 +14,6 @@ and zero-temperature line weights sum to 2*pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,7 +57,6 @@ POLE_TOL = 1e-9
 
 _SUM_RULE_TAIL = 1e-10
 _LINE_CAP = 2000
-_IMAG_TOL = 1e-10
 # largest phase error, in rad over the time window, that a frequency grid
 # may carry and still count as uniform for the chirp-z transform
 _UNIFORM_PHASE_TOL = 1e-10
@@ -165,7 +163,7 @@ def phonon_number_quadratic(p: int, c: Couplings, t):
     p*|d'|**2 + (p+1)*|q'|**2 + |lam'|**2, at a time or an ndarray of
     times."""
     p = _require_order(p)
-    tc = time_coeffs(c, c.omega_e, t)
+    tc = time_coeffs(c, t)
     return (
         p * abs(tc.d_tilde_prime) ** 2
         + (p + 1) * abs(tc.q_tilde_prime) ** 2
@@ -250,7 +248,7 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
     partial fractions never degenerate.
     """
     p = _require_order(p)
-    tc = time_coeffs(c, c.omega_e, t)
+    tc = time_coeffs(c, t)
     d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
     half = laguerre_half_seq(p, -lam * lam / (d * (1.0 - q)))
     ratio = (1.0 + q) / (1.0 - q)
@@ -307,7 +305,7 @@ def generating_function(x: complex, c: Couplings, t: float) -> complex:
     :class:`DivergenceWarning` since the Taylor series no longer
     converges there, while the returned continuation stays finite.
     """
-    tc = time_coeffs(c, c.omega_e, t)
+    tc = time_coeffs(c, t)
     d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
     x = complex(x)
     _check_generating_argument(x, q)
@@ -341,7 +339,7 @@ def _correlation_linear_values(th: ThermalParams, c: Couplings, ts) -> np.ndarra
 def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
     """General couplings: the generating function evaluated at
     x = e^{-beta omega_g} e^{i(omega_g - omega_e) t} d'."""
-    tc = time_coeffs(c, c.omega_e, ts)
+    tc = time_coeffs(c, ts)
     d_prime, d, q, lam = tc.d_tilde_prime, tc.d_tilde, tc.q_tilde, tc.lam_tilde
     boltz = th.boltzmann(c.omega_g)
     x = boltz * np.exp(1j * (c.omega_g - c.omega_e) * ts) * d_prime
@@ -380,92 +378,45 @@ def correlation(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
 # spectra
 
 
-def spectrum_zero_T(c: Couplings, n_max: int | None = None) -> list[SpectralLine]:
+def spectrum_zero_T(c: Couplings) -> list[SpectralLine]:
     """Zero-temperature absorption line list.
 
-    Lines sit at offsets (omega_e - omega_g)/2 + n*omega_e from the
-    electronic gap. With ``n_max=None`` the list grows until the collected
-    weight reaches 2*pi*(1 - 1e-10); an explicit ``n_max`` must reach the
-    same mass or a ValueError is raised. Weights are validated to be
-    finite, real and nonnegative before their imaginary parts are
-    discarded; a weight that fails, a first weight that underflows to zero,
-    or a list that reaches 2000 lines short of the sum rule, raises
+    Line n sits at offset (omega_e - omega_g)/2 + n*omega_e from the gap
+    with weight a[n]**2, a[n] = sqrt(2*pi)*<n_e|0_g>. With the ground
+    annihilator b_g = gamma_plus*b_e - gamma_minus*b_e^dag + lambda_g,
+    b_g|0_g> = 0 is the normalised Franck-Condon recursion (Sharp &
+    Rosenstock 1964; Doktorov, Malkin & Man'ko 1977)
+
+        gamma_plus*sqrt(n+1)*a[n+1] = gamma_minus*sqrt(n)*a[n-1] - lambda_g*a[n]
+
+    which gives the Poisson weights at equal frequencies. The list grows
+    until its weight reaches 2*pi*(1 - 1e-10). A first weight that
+    underflows to zero, or 2000 lines short of the sum rule, raise
     :class:`LineListError`.
     """
     target = 2.0 * math.pi * (1.0 - _SUM_RULE_TAIL)
     offset0 = 0.5 * (c.omega_e - c.omega_g)
+    gp, gm, lam = c.gamma_plus, c.gamma_minus, c.lambda_g
+    a_prev = 0.0
+    a_cur = math.sqrt(2.0 * math.pi / gp) * math.exp(-0.5 * c.lambda_e * lam / gp)
+    if a_cur * a_cur == 0.0:
+        # the first weight is the whole weight scale, which can only
+        # vanish by underflow (exp(-S) for S beyond ~745)
+        raise LineListError(
+            "spectral weight 0 underflows to zero, so the line list cannot "
+            "reach the sum rule"
+        )
     lines: list[SpectralLine] = []
     total = 0.0
-
-    if c.equal_frequencies:
-        # Poisson weights of the displaced vacuum
-        def weights():
-            s = c.huang_rhys
-            w = 2.0 * math.pi * math.exp(-s)
-            n = 0
-            while True:
-                yield w
-                n += 1
-                w *= s / n
-
-    else:
-        # squeezed-and-displaced vacuum: Hermite polynomials at
-        # lambda_g/sqrt(-2*gamma_plus*gamma_minus), streamed upward
-        def weights():
-            gp, gm = c.gamma_plus, c.gamma_minus
-            # plain complex arithmetic: an overflowing Hermite value turns
-            # into inf or nan without numpy warnings and is caught below
-            z = complex(c.lambda_g / np.sqrt(complex(-2.0 * gp * gm)))
-            ratio = -gm / (2.0 * gp)
-            scale = complex((2.0 * math.pi / gp) * math.exp(-c.lambda_e * c.lambda_g / gp))
-            h_prev, h_cur = 0.0 + 0.0j, 1.0 + 0.0j
-            n = 0
-            while True:
-                w = scale * h_cur * h_cur
-                if not cmath.isfinite(w):
-                    raise LineListError(
-                        f"spectral weight {n} is not finite ({w!r}), so the "
-                        "line list cannot reach the sum rule"
-                    )
-                if abs(w.imag) > _IMAG_TOL:
-                    raise LineListError(
-                        f"spectral weight {n} has imaginary residue {w.imag!r}"
-                    )
-                if w.real < -1e-12:
-                    raise LineListError(
-                        f"spectral weight {n} is negative: {w.real!r}"
-                    )
-                yield max(w.real, 0.0)
-                n += 1
-                h_prev, h_cur = h_cur, 2.0 * z * h_cur - 2.0 * (n - 1) * h_prev
-                scale *= ratio / n
-
-    for n, w in enumerate(weights()):
-        if n == 0 and w == 0.0:
-            # the first weight is the whole weight scale, which can only
-            # vanish by underflow (exp(-S) for S beyond ~745)
-            raise LineListError(
-                "spectral weight 0 underflows to zero, so the line list cannot "
-                "reach the sum rule"
-            )
+    for n in range(_LINE_CAP):
+        w = a_cur * a_cur
         lines.append(SpectralLine(offset=offset0 + n * c.omega_e, weight=w))
         total += w
-        if n_max is None:
-            if total >= target:
-                break
-            if n + 1 >= _LINE_CAP:
-                raise LineListError(
-                    f"line list did not reach the sum rule within {_LINE_CAP} lines"
-                )
-        elif n >= n_max:
-            break
-
-    if n_max is not None and total < target:
-        raise ValueError(
-            f"n_max={n_max} collects only {total / (2.0 * math.pi):.12f} of the "
-            "sum-rule weight; increase it"
-        )
-    return lines
+        if total >= target:
+            return lines
+        a_next = (gm * math.sqrt(n) * a_prev - lam * a_cur) / (gp * math.sqrt(n + 1))
+        a_prev, a_cur = a_cur, a_next
+    raise LineListError(f"line list did not reach the sum rule within {_LINE_CAP} lines")
 
 
 def broadened_lines(w_offsets, lines, eta: float) -> np.ndarray:

@@ -88,12 +88,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 
 def _as_float(raw: dict, key: str, default: float | None = None) -> float | None:
+    """Read a finite float; ``beta`` is left to ThermalParams (inf is T = 0)."""
     if key not in raw:
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {raw[key]!r}") from None
+    if not math.isfinite(value) and key != "beta":
+        raise ConfigError(f"{key}: expected a finite number, got {raw[key]!r}")
+    return value
 
 
 def _as_int(raw: dict, key: str, default: int | None = None) -> int | None:
@@ -106,7 +110,7 @@ def _as_int(raw: dict, key: str, default: int | None = None) -> int | None:
         if as_int != as_float:
             raise ValueError
         return as_int
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 

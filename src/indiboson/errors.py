@@ -27,10 +27,9 @@ class TruncationError(RuntimeError):
 
 
 class LineListError(RuntimeError):
-    """Raised when a zero-temperature line list cannot be streamed: a
-    weight is not finite, complex or negative beyond roundoff, the first
-    weight underflows to zero, or the list runs into its line cap before
-    reaching the sum rule."""
+    """Raised when a zero-temperature line list cannot be streamed: the
+    first weight underflows to zero, or the list runs into its line cap
+    before reaching the sum rule."""
 
 
 class OracleError(RuntimeError):

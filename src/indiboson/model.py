@@ -195,7 +195,7 @@ class TimeCoeffs:
     lam_tilde: complex | np.ndarray
 
 
-def time_coeffs(c: Couplings, omega_e: float, t) -> TimeCoeffs:
+def time_coeffs(c: Couplings, t) -> TimeCoeffs:
     """Evaluate the evolved-operator coefficients at a time or an ndarray of
     times.
 
@@ -205,13 +205,13 @@ def time_coeffs(c: Couplings, omega_e: float, t) -> TimeCoeffs:
     lambda_e*(gamma_plus - gamma_minus) = lambda_g, which hold to all
     orders algebraically but not termwise in floats.
     """
-    e1 = np.exp(1j * (omega_e * t))
+    e1 = np.exp(1j * (c.omega_e * t))
     one_m_e1 = 1.0 - e1
     one_m_e2 = 1.0 - e1 * e1
     d_prime = 1.0 + c.gamma_minus**2 * one_m_e2
     q_prime = c.gamma_plus * c.gamma_minus * one_m_e2
     lam_prime = c.lambda_e * c.gamma_minus * one_m_e2 + c.lambda_g * one_m_e1
-    phase = np.exp(-1j * omega_e * t)
+    phase = np.exp(-1j * c.omega_e * t)
     return TimeCoeffs(
         t=t,
         lam_t=c.lambda_g * one_m_e1,

@@ -129,7 +129,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     guarded("coupling_identity", 1e-12, coupling_identity)
 
     def coeff_identity():
-        tc = time_coeffs(c, c.omega_e, ts)
+        tc = time_coeffs(c, ts)
         ident = np.abs(tc.d_tilde_prime) ** 2 - np.abs(tc.q_tilde_prime) ** 2
         k = int(np.argmax(np.abs(ident - 1.0)))
         return ident[k], 1.0, abs(ident[k] - 1.0), ""

@@ -53,7 +53,7 @@ def overlap_quadratic_series(p_max, c, t):
     * exp(-lambda_g*lambda_e*(1 - z)/(gamma_plus - gamma_minus*z))
     at z = e^{-i omega_e t}.
     """
-    tc = time_coeffs(c, c.omega_e, t)
+    tc = time_coeffs(c, t)
     d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
     n = p_max + 1
 
@@ -167,7 +167,7 @@ def test_time_coefficients_match_normal_mode_transform(mixed):
     c = mixed
     for t in (0.5, 2.2):
         th = c.omega_e * t
-        tc = time_coeffs(c, c.omega_e, t)
+        tc = time_coeffs(c, t)
         d = c.gamma_plus**2 * np.exp(-1j * th) - c.gamma_minus**2 * np.exp(1j * th)
         q = c.gamma_plus * c.gamma_minus * (np.exp(-1j * th) - np.exp(1j * th))
         lam = c.lambda_g * (1.0 - np.exp(-1j * th)) - c.lambda_e * c.gamma_minus * (
@@ -329,7 +329,7 @@ def test_taylor_coefficients_match_series_route(squeezed, mixed):
         t = 0.35  # omega_e * t = 0.7
         contour = taylor_by_contour(c, t, 10)
         seq = overlap_quadratic_series(10, c, t)
-        d = time_coeffs(c, c.omega_e, t).d_tilde
+        d = time_coeffs(c, t).d_tilde
         strip = np.exp(0.5j * c.omega_e * t) / d ** np.arange(11)
         assert np.allclose(contour, seq * strip, atol=1e-10)
 
@@ -338,7 +338,7 @@ def test_generating_function_sums_its_own_series(mixed):
     t = 1.2
     x = 0.2 + 0.1j
     seq = overlap_quadratic_series(40, mixed, t)
-    d = time_coeffs(mixed, mixed.omega_e, t).d_tilde
+    d = time_coeffs(mixed, t).d_tilde
     coeffs = seq * np.exp(0.5j * mixed.omega_e * t) / d ** np.arange(41)
     total = np.sum(coeffs * x ** np.arange(41))
     assert total == pytest.approx(generating_function(x, mixed, t), abs=1e-10)
@@ -346,7 +346,7 @@ def test_generating_function_sums_its_own_series(mixed):
 
 def test_generating_function_pole_and_divergence_guards(mixed):
     t = 0.35
-    tc = time_coeffs(mixed, mixed.omega_e, t)
+    tc = time_coeffs(mixed, t)
     with pytest.raises(PoleError):
         generating_function(1.0 - tc.q_tilde, mixed, t)
     radius = min(abs(1.0 - tc.q_tilde), abs(1.0 + tc.q_tilde))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,43 @@ def test_missing_setup_is_a_config_error(capsys):
     code, _, err = run(["couplings"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, command", [
+    ("eta", "spectrum"), ("t_min", "evolve"), ("t_max", "evolve"),
+    ("w_min", "spectrum"), ("w_max", "spectrum"),
+])
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, key, command, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(
+            [command, "--preset", "fig2-both", "--config", str(cfg)], capsys
+        )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {key}: expected a finite number, got '{value}'\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["initial_p", "t_points", "w_points", "oracle_dim"])
+def test_non_finite_integer_config_value_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run(["evolve", "--preset", "fig2-both", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {key}: expected an integer, got '{value}'\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_eta_flag_is_a_config_error(capsys, value):
+    code, out, err = run(["spectrum", "--preset", "fig2-both", "--eta", value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: eta: expected a finite number, got {value}\n"
 
 
 def test_unknown_preset_is_a_config_error(capsys):

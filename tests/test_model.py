@@ -120,7 +120,7 @@ def test_gap_and_reorganization():
 
 def test_coefficients_start_exactly_at_identity(displaced, squeezed, mixed):
     for c in (displaced, squeezed, mixed):
-        tc = time_coeffs(c, c.omega_e, 0.0)
+        tc = time_coeffs(c, 0.0)
         assert tc.d_tilde_prime == 1.0 + 0.0j
         assert tc.q_tilde_prime == 0.0 + 0.0j
         assert tc.lam_tilde_prime == 0.0 + 0.0j
@@ -134,7 +134,7 @@ def test_coefficients_start_exactly_at_identity(displaced, squeezed, mixed):
 def test_evolved_operator_stays_canonical(omega_g, omega_e, lam, t):
     # |d'|**2 - |q'|**2 = 1 is the bosonic commutator of the evolved mode
     c = make(omega_g=omega_g, omega_e=omega_e, lam=lam)
-    tc = time_coeffs(c, c.omega_e, t)
+    tc = time_coeffs(c, t)
     assert abs(tc.d_tilde_prime) ** 2 - abs(tc.q_tilde_prime) ** 2 == pytest.approx(
         1.0, abs=1e-12
     )
@@ -146,20 +146,20 @@ def test_frozen_time_coefficient_values():
     # pure quadratic coupling, quarter period of the excited-surface mode:
     # the squeeze terms hit gamma_plus**2 + gamma_minus**2 and 2 g+ g-
     c = make(omega_g=1.0, omega_e=2.0, lam=0.0)
-    tc = time_coeffs(c, c.omega_e, math.pi / 4.0)
+    tc = time_coeffs(c, math.pi / 4.0)
     assert abs(tc.q_tilde_prime) ** 2 == pytest.approx(0.5625, abs=1e-14)
     assert tc.d_tilde_prime == pytest.approx(1.25, abs=1e-14)
     # equal frequencies, half period: the displacement doubles
     lin = make(omega_g=1.0, omega_e=1.0, lam=1.0)
-    assert time_coeffs(lin, lin.omega_e, math.pi).lam_t == pytest.approx(
+    assert time_coeffs(lin, math.pi).lam_t == pytest.approx(
         2.0, abs=1e-14
     )
 
 
 def test_coefficient_periodicity(mixed):
     period = 2.0 * math.pi / mixed.omega_e
-    a = time_coeffs(mixed, mixed.omega_e, 0.7)
-    b = time_coeffs(mixed, mixed.omega_e, 0.7 + period)
+    a = time_coeffs(mixed, 0.7)
+    b = time_coeffs(mixed, 0.7 + period)
     assert b.d_tilde_prime == pytest.approx(a.d_tilde_prime, abs=1e-12)
     assert b.q_tilde_prime == pytest.approx(a.q_tilde_prime, abs=1e-12)
     assert b.lam_tilde_prime == pytest.approx(a.lam_tilde_prime, abs=1e-12)
