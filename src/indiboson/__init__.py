@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .analytic import (
     OverlapValue,
     SpectralLine,
-    broadened_lines,
     correlation,
     excited_mean_energy,
     excited_phonon_number,
@@ -26,8 +25,10 @@ from .analytic import (
     polaron_state_check,
     spectrum_finite_T,
     spectrum_zero_T,
+    thermal_lines,
     vacuum_expansion_linear,
     vacuum_ground_phonon_number,
+    windowed_spectrum,
 )
 from .errors import (
     ConfigError,
@@ -36,7 +37,6 @@ from .errors import (
     LineListError,
     OracleError,
     PoleError,
-    ResolutionWarning,
     TruncationError,
 )
 from .model import (
@@ -62,9 +62,7 @@ __all__ = [
     "LineListError",
     "OracleError",
     "PoleError",
-    "ResolutionWarning",
     "TruncationError",
-    "broadened_lines",
     "correlation",
     "derive_couplings",
     "excited_mean_energy",
@@ -79,7 +77,9 @@ __all__ = [
     "polaron_state_check",
     "spectrum_finite_T",
     "spectrum_zero_T",
+    "thermal_lines",
     "time_coeffs",
     "vacuum_expansion_linear",
     "vacuum_ground_phonon_number",
+    "windowed_spectrum",
 ]

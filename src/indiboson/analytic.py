@@ -14,6 +14,7 @@ and zero-temperature line weights sum to 2*pi.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,12 +26,12 @@ from .errors import (
     InsufficientDecayWarning,
     LineListError,
     PoleError,
-    ResolutionWarning,
 )
 from .model import Couplings, ThermalParams, time_coeffs
 from .specfun import laguerre_half_seq, laguerre_seq
 
 __all__ = [
+    "WINDOW_DECAY",
     "OverlapValue",
     "SpectralLine",
     "overlap",
@@ -46,8 +47,9 @@ __all__ = [
     "overlap_quadratic",
     "generating_function",
     "spectrum_zero_T",
+    "thermal_lines",
+    "windowed_spectrum",
     "spectrum_finite_T",
-    "broadened_lines",
     "polaron_state_check",
 ]
 
@@ -55,16 +57,21 @@ __all__ = [
 # a pole.
 POLE_TOL = 1e-9
 
+# Default eta*t_max of the finite-temperature window.
+WINDOW_DECAY = 8.0
+
 _SUM_RULE_TAIL = 1e-10
+# most lines at T = 0, and most excited levels in a thermal line list
 _LINE_CAP = 2000
-# largest phase error, in rad over the time window, that a frequency grid
-# may carry and still count as uniform for the chirp-z transform
-_UNIFORM_PHASE_TOL = 1e-10
-# time samples per finite-temperature spectrum; at the cap the curvature
-# target is no longer met and ResolutionWarning says by how much
-_SAMPLE_CAP = 400_001
-# interpolation error targeted by the time step: curvature * h**2 / 8
-_INTERP_TARGET = 1e-5
+# thermal line lists: the oracle's Boltzmann floor, the population allowed
+# in the top eighth of the rows, the first-moment limit (the old 1e-5
+# interpolation target), and the share of the weight below which a line
+# is dropped
+_THERMAL_FLOOR = 1e-12
+_ROW_TAIL = 1e-13
+_MOMENT_TOL = 1e-5
+_LINE_FLOOR = 1e-16
+_BLOCK = 256  # lines per block of the windowed sum
 
 
 def _check_magnitude(name: str, value):
@@ -378,124 +385,136 @@ def correlation(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
 # spectra
 
 
+def _franck_condon_rows(c: Couplings, cols: int):
+    """Endless generator of the rows a[n, :cols] = sqrt(2*pi)*<n_e|p_g>,
+    n = 0, 1, ..., each a new array (Sharp & Rosenstock 1964; Doktorov,
+    Malkin & Man'ko 1977). Row 0 is <0_e|b_e^dag = 0 for b_e =
+    gamma_plus*b_g + gamma_minus*b_g^dag - lambda_e,
+        gamma_plus*sqrt(p+1)*a[0, p+1] = lambda_e*a[0, p] - gamma_minus*sqrt(p)*a[0, p-1],
+    and row n+1 is <n_e|b_g|p_g> = sqrt(p)*a[n, p-1] for b_g =
+    gamma_plus*b_e - gamma_minus*b_e^dag + lambda_g, with a[n, -1] = 0,
+        gamma_plus*sqrt(n+1)*a[n+1, p] = sqrt(p)*a[n, p-1] + gamma_minus*sqrt(n)*a[n-1, p]
+                                         - lambda_g*a[n, p].
+    Column 0 is exact to rounding; in column p the sweep amplifies rounding
+    by up to sqrt(binomial(p, k)), all of it along the lower columns.
+    """
+    gp, gm = c.gamma_plus, c.gamma_minus
+    row = np.empty(cols)
+    row[0] = math.sqrt(2.0 * math.pi / gp) * math.exp(-0.5 * c.lambda_e * c.lambda_g / gp)
+    for p in range(1, cols):
+        lower = gm * math.sqrt(p - 1) * row[p - 2] if p > 1 else 0.0
+        row[p] = (c.lambda_e * row[p - 1] - lower) / (gp * math.sqrt(p))
+    root_p = np.sqrt(np.arange(1, cols))
+    prev = np.zeros(cols)
+    for n in itertools.count():
+        yield row
+        # the leading 0.0 keeps column 0 bit for bit the scalar recursion
+        raised = np.concatenate(([0.0], root_p * row[:-1]))
+        nxt = (raised + gm * math.sqrt(n) * prev - c.lambda_g * row) / (gp * math.sqrt(n + 1))
+        prev, row = row, nxt
+
+
 def spectrum_zero_T(c: Couplings) -> list[SpectralLine]:
     """Zero-temperature absorption line list.
 
     Line n sits at offset (omega_e - omega_g)/2 + n*omega_e from the gap
-    with weight a[n]**2, a[n] = sqrt(2*pi)*<n_e|0_g>. With the ground
-    annihilator b_g = gamma_plus*b_e - gamma_minus*b_e^dag + lambda_g,
-    b_g|0_g> = 0 is the normalised Franck-Condon recursion (Sharp &
-    Rosenstock 1964; Doktorov, Malkin & Man'ko 1977)
-
-        gamma_plus*sqrt(n+1)*a[n+1] = gamma_minus*sqrt(n)*a[n-1] - lambda_g*a[n]
-
-    which gives the Poisson weights at equal frequencies. The list grows
-    until its weight reaches 2*pi*(1 - 1e-10). A first weight that
+    with weight a[n]**2, a[n] = sqrt(2*pi)*<n_e|0_g> from column p = 0 of
+    :func:`_franck_condon_rows` (Poisson weights at equal frequencies),
+    until the weights reach 2*pi*(1 - 1e-10). A first weight that
     underflows to zero, or 2000 lines short of the sum rule, raise
     :class:`LineListError`.
     """
     target = 2.0 * math.pi * (1.0 - _SUM_RULE_TAIL)
     offset0 = 0.5 * (c.omega_e - c.omega_g)
-    gp, gm, lam = c.gamma_plus, c.gamma_minus, c.lambda_g
-    a_prev = 0.0
-    a_cur = math.sqrt(2.0 * math.pi / gp) * math.exp(-0.5 * c.lambda_e * lam / gp)
-    if a_cur * a_cur == 0.0:
-        # the first weight is the whole weight scale, which can only
-        # vanish by underflow (exp(-S) for S beyond ~745)
-        raise LineListError(
-            "spectral weight 0 underflows to zero, so the line list cannot "
-            "reach the sum rule"
-        )
     lines: list[SpectralLine] = []
     total = 0.0
-    for n in range(_LINE_CAP):
-        w = a_cur * a_cur
+    for n, row in enumerate(itertools.islice(_franck_condon_rows(c, 1), _LINE_CAP)):
+        w = float(row[0] * row[0])
+        if w == 0.0 and n == 0:
+            # the first weight is the whole weight scale, which can only
+            # vanish by underflow (exp(-S) for S beyond ~745)
+            raise LineListError("spectral weight 0 underflows to zero, so the line list "
+                                "cannot reach the sum rule")
         lines.append(SpectralLine(offset=offset0 + n * c.omega_e, weight=w))
         total += w
         if total >= target:
             return lines
-        a_next = (gm * math.sqrt(n) * a_prev - lam * a_cur) / (gp * math.sqrt(n + 1))
-        a_prev, a_cur = a_cur, a_next
     raise LineListError(f"line list did not reach the sum rule within {_LINE_CAP} lines")
 
 
-def broadened_lines(w_offsets, lines, eta: float) -> np.ndarray:
-    """Lorentzian-broadened line list sampled at offsets from the gap,
-    normalized like the damped transform of the correlation function."""
-    if eta <= 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    w = np.asarray(w_offsets, dtype=float)[:, None]
-    off = np.array([ln.offset for ln in lines])[None, :]
-    wt = np.array([ln.weight for ln in lines])[None, :]
-    return np.sum(wt / math.pi * eta / ((w - off) ** 2 + eta**2), axis=1)
+def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.ndarray, np.ndarray, float]:
+    """Thermal absorption lines as (offsets, weights, moment_residual):
+    distinct offsets from the gap, ascending, with their summed weights.
+
+    Ground level p, of Boltzmann weight w_p = (1 - e^{-beta omega_g})
+    e^{-p beta omega_g} >= 1e-12, reaches excited level n at offset
+    omega_e*(n + 1/2) - omega_g*(p + 1/2) with weight 2*pi*w_p*<n_e|p_g>**2,
+    from the rows of :func:`_franck_condon_rows` after one QR factorisation
+    in column order, which removes the rounding the sweep amplifies. The
+    rows start at the hottest column's mean level plus ten standard
+    deviations and double until their top eighth holds at most 1e-13 of
+    the Boltzmann-weighted population. Lines below 1e-16 of the total
+    weight are dropped and equal offsets merged.
+
+    Each column's first moment sum_n n*<n_e|p_g>**2 must equal
+    gamma_plus**2*p + gamma_minus**2*(p+1) + lambda_e**2; the
+    Boltzmann-weighted relative deviation reads 2-4 times the spectrum's
+    error relative to its peak. Above 1e-5, or past 2000 levels,
+    :class:`LineListError` is raised.
+    """
+    boltz = th.boltzmann(c.omega_g)
+    pops = (1.0 - boltz) * boltz ** np.arange(_LINE_CAP + 1)
+    cols = int(np.count_nonzero(pops >= _THERMAL_FLOOR))
+    refusal = LineListError(f"thermal lines at beta={th.beta!r} need > {_LINE_CAP} levels")
+    if not 0 < cols <= _LINE_CAP:
+        raise refusal
+    pops = pops[:cols]
+    gp2, gm2 = c.gamma_plus**2, c.gamma_minus**2
+    mean = gp2 * (cols - 1) + gm2 * cols + c.lambda_e**2
+    rows = min(int(mean + 10.0 * math.sqrt(mean + 1.0)) + 1, _LINE_CAP)
+    sweep, amps = _franck_condon_rows(c, cols), np.empty((0, cols))
+    while True:
+        amps = np.vstack([amps, *itertools.islice(sweep, rows - len(amps))])
+        probs = np.linalg.qr(amps)[0] ** 2
+        if pops @ probs[rows - rows // 8 :].sum(axis=0) <= _ROW_TAIL:
+            break
+        if rows == _LINE_CAP:
+            raise refusal
+        rows = min(2 * rows, _LINE_CAP)
+    n, p = np.arange(rows), np.arange(cols)
+    expect = gp2 * p + gm2 * (p + 1) + c.lambda_e**2
+    residual = float(pops @ (np.abs(n @ probs - expect) / (expect + 1.0)))
+    if not residual <= _MOMENT_TOL:  # a NaN fails too
+        raise LineListError(f"thermal first-moment residual {residual:.3g} > {_MOMENT_TOL:g}")
+    weights = (2.0 * math.pi * pops) * probs
+    offsets = 0.5 * (c.omega_e - c.omega_g) + c.omega_e * n[:, None] - c.omega_g * p
+    keep = weights >= _LINE_FLOOR * weights.sum()
+    offsets, where = np.unique(offsets[keep], return_inverse=True)
+    return offsets, np.bincount(where, weights=weights[keep]), residual
 
 
-def _uniform_step(delta: np.ndarray, t_span: float) -> float | None:
-    """Step dd of delta when delta[k] = delta[0] + k*dd to within a phase of
-    1e-10 rad over t_span (grids built as lo + k*step or by np.linspace both
-    qualify); None for non-uniform grids and for fewer than 2 points."""
-    if delta.ndim != 1 or delta.size < 2:
-        return None
-    dd = (delta[-1] - delta[0]) / (delta.size - 1)
-    ideal = delta[0] + np.arange(delta.size) * dd
-    if np.max(np.abs(delta - ideal)) * t_span >= _UNIFORM_PHASE_TOL:
-        return None
-    return float(dd)
-
-
-def _chirp_z_sum(x: np.ndarray, theta: float, n_w: int) -> np.ndarray:
-    """S_k = sum_j x_j e^{i theta k j} for k = 0..n_w-1 by Bluestein's
-    convolution: k*j = (k**2 + j**2 - (k-j)**2)/2 turns the sum into a
-    linear convolution with the unit-modulus chirp e^{-i theta m**2/2},
-    done with power-of-two FFTs in O((n_t + n_w) log(n_t + n_w))."""
-    n_t = x.size
-    size = 1 << (n_t + n_w - 2).bit_length()  # power of two >= n_t + n_w - 1
-    m = np.arange(max(n_t, n_w), dtype=np.int64)
-    # exact integer squares: a complex power e^{i theta}**(m**2/2) loses ~1e-6
-    chirp = np.exp(0.5j * theta * (m * m))
-    a = np.zeros(size, dtype=complex)
-    a[:n_t] = x * chirp[:n_t]
-    b = np.zeros(size, dtype=complex)
-    b[:n_w] = chirp[:n_w].conj()
-    b[size - n_t + 1 :] = chirp[n_t - 1 : 0 : -1].conj()  # lags -(n_t-1)..-1
-    a = np.fft.fft(a)
-    a *= np.fft.fft(b)
-    return chirp[:n_w] * np.fft.ifft(a)[:n_w]
-
-
-def _damped_transform(delta, ts, g, eta: float) -> np.ndarray:
-    """2*Re integral_0^T e^{(i delta - eta) t} g(t) dt with g piecewise
-    linear between uniform samples and the exponential integrated exactly
-    on each segment (so the step size is set by g alone, not by delta).
-
-    The segment sums are geometric in z = e^{s h}, S = sum_j z**j g_j. On
-    a uniform delta grid (see :func:`_uniform_step`) S is a chirp-z
-    transform, evaluated in O((n_t + n_w) log(n_t + n_w)) by
-    :func:`_chirp_z_sum`. Non-uniform grids and grids of fewer than 2
-    points take one Horner pass over all samples, O(n_t * n_w); |z| < 1
-    keeps that recursion well conditioned.
+def windowed_spectrum(offsets, weights, delta, eta: float, t_max: float) -> np.ndarray:
+    """Lines through the finite damped window at offsets delta from the
+    gap: sum over lines of weight/(2*pi) * 2*Re[(e^{sT} - 1)/s] with
+    s = i(delta - offset) - eta, T = t_max, evaluated in real arithmetic as
+    2*(eta*(1 - E*C) + E*D*S)/(eta**2 + D**2), D = delta - offset,
+    E = e^{-eta T}, C and S the cosine and sine of D*T from the angle
+    difference of delta*T and offset*T, in blocks of 256 lines.
     """
     delta = np.asarray(delta, dtype=float)
-    h = ts[1] - ts[0]
-    s = 1j * delta - eta
-    z = np.exp(s * h)
-    dd = _uniform_step(delta, h * ts.size)
-    if dd is None:
-        acc = np.full(s.shape, g[-1], dtype=complex)
-        for gj in g[-2::-1]:
-            acc = acc * z + gj
-    else:
-        # damping and the delta[0] phase go into the samples, so the chirp
-        # keeps unit modulus
-        x = g * np.exp((1j * delta[0] - eta) * h * np.arange(ts.size))
-        acc = _chirp_z_sum(x, dd * h, delta.size)
-    head = acc - np.exp(s * (ts.size - 1) * h) * g[-1]  # sum over j = 0..n-2 of z^j g_j
-    tail = (acc - g[0]) / z                             # sum over j = 0..n-2 of z^j g_{j+1}
-    i0 = (z - 1.0) / s
-    i1 = (h * z - i0) / s
-    beta_w = i1 / h
-    alpha_w = i0 - beta_w
-    return 2.0 * (alpha_w * head + beta_w * tail).real
+    d_col = delta.reshape(-1, 1)
+    decay = math.exp(-eta * t_max)
+    cos_d, sin_d = decay * np.cos(d_col * t_max), decay * np.sin(d_col * t_max)
+    out = np.zeros(delta.size)
+    for start in range(0, offsets.size, _BLOCK):
+        off = offsets[start : start + _BLOCK]
+        cos_o, sin_o = np.cos(off * t_max), np.sin(off * t_max)
+        ec = cos_d * cos_o + sin_d * sin_o
+        es = sin_d * cos_o - cos_d * sin_o
+        dist = d_col - off
+        shape = (eta * (1.0 - ec) + dist * es) / (eta * eta + dist * dist)
+        out += shape @ weights[start : start + _BLOCK]
+    return (out / math.pi).reshape(delta.shape)
 
 
 def spectrum_finite_T(
@@ -506,29 +525,16 @@ def spectrum_finite_T(
     t_max: float | None = None,
 ) -> np.ndarray:
     """Absorption spectrum A(w) = 2*Re int_0^t_max e^{i w t - eta t} G(t) dt
-    sampled on an absolute frequency grid.
+    on an absolute frequency grid: :func:`windowed_spectrum` of
+    :func:`thermal_lines`, exact up to the lines' first-moment residual.
 
-    eta defaults to 0.02*omega_e and t_max to 8/eta; a shorter window
-    (eta*t_max < 5) emits :class:`InsufficientDecayWarning`. The time step
-    adapts to a measured curvature bound on the gap-stripped correlator,
-    keeping the piecewise-linear interpolation error near 1e-5. The sample
-    count is capped at 400,001; when the cap binds (narrow eta or strong
-    coupling) the step is coarser than the target asks for and
-    :class:`ResolutionWarning` gives both steps and the estimated error
-    curvature*h**2/8.
-
-    A uniform w_grid (np.linspace or lo + k*step, ascending or descending)
-    is transformed in O((n_t + n_w) log(n_t + n_w)) by a chirp-z FFT; a
-    non-uniform grid or a single frequency costs O(n_t * n_w).
+    eta defaults to 0.02*omega_e and t_max to WINDOW_DECAY/eta; a shorter
+    window (eta*t_max < 5) emits :class:`InsufficientDecayWarning`.
     """
-    if eta is None:
-        eta = 0.02 * c.omega_e
-    eta = float(eta)
+    eta = 0.02 * c.omega_e if eta is None else float(eta)
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    if t_max is None:
-        t_max = 8.0 / eta
-    t_max = float(t_max)
+    t_max = WINDOW_DECAY / eta if t_max is None else float(t_max)
     if t_max <= 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max}")
     if t_max * eta < 5.0:
@@ -538,33 +544,8 @@ def spectrum_finite_T(
             InsufficientDecayWarning,
             stacklevel=2,
         )
-    w = np.asarray(w_grid, dtype=float)
-
-    def stripped(ts):
-        return correlation(th, c, ts) * np.exp(1j * c.omega_eg * ts)
-
-    ts = np.linspace(0.0, t_max, 4097)
-    g = stripped(ts)
-    h0 = ts[1] - ts[0]
-    curvature = float(np.max(np.abs(np.diff(g, 2)))) / h0**2
-    if curvature > 0.0:
-        h = min(h0, math.sqrt(8.0 * _INTERP_TARGET / curvature))
-        n_t = int(math.ceil(t_max / h)) + 1
-        if n_t > _SAMPLE_CAP:
-            n_t = _SAMPLE_CAP
-            h_used = t_max / (n_t - 1)
-            warnings.warn(
-                f"time step {h:.3g} needed for the {_INTERP_TARGET:g} interpolation "
-                f"target exceeds the {_SAMPLE_CAP:,}-sample cap; using step "
-                f"{h_used:.3g}, estimated interpolation error "
-                f"{curvature * h_used**2 / 8.0:.3g}",
-                ResolutionWarning,
-                stacklevel=2,
-            )
-        if n_t > ts.size:
-            ts = np.linspace(0.0, t_max, n_t)
-            g = stripped(ts)
-    return _damped_transform(w - c.omega_eg, ts, g, eta)
+    delta = np.asarray(w_grid, dtype=float) - c.omega_eg
+    return windowed_spectrum(*thermal_lines(th, c)[:2], delta, eta, t_max)
 
 
 # ---------------------------------------------------------------------------

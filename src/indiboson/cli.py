@@ -5,7 +5,7 @@ Subcommands
 couplings    derived coupling table for a parameter set
 evolve       overlap and phonon numbers on a time grid
 correlation  thermal dipole correlation samples
-spectrum     zero-temperature line list or damped-transform spectrum
+spectrum     zero-temperature line list or windowed thermal spectrum
 validate     closed forms against the truncated-basis reference
 
 Configuration is a flat ``key = value`` text file; ``--preset`` loads a
@@ -30,14 +30,15 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    broadened_lines,
+    WINDOW_DECAY,
     correlation,
     excited_phonon_number,
     overlap,
     phonon_number,
-    spectrum_finite_T,
     spectrum_zero_T,
+    thermal_lines,
     vacuum_ground_phonon_number,
+    windowed_spectrum,
 )
 from .errors import ConfigError, LineListError, OracleError, PoleError, TruncationError
 from .model import ModelParams, ThermalParams, derive_couplings
@@ -50,6 +51,7 @@ from .oracle import (
     observable,
     thermal_correlation,
     thermal_line_list,
+    window_broadened,
 )
 from .presets import preset_config, preset_names
 from .validation import THERMAL_ORACLE_DIM, run_validation
@@ -408,17 +410,19 @@ def cmd_spectrum(args) -> int:
         _emit(cfg.fmt, cfg.out, _meta("spectrum", cfg), columns)
         return 0
     w = cfg.freqs()
-    absorption = spectrum_finite_T(cfg.thermal, c, w, eta=cfg.eta)
+    t_max = WINDOW_DECAY / cfg.eta
+    offsets, weights, residual = thermal_lines(cfg.thermal, c)
     meta = _meta("spectrum", cfg)
+    meta.update(lines=offsets.size, moment_residual=residual)
     columns = {
         "w": list(w),
         "offset": list(w - c.omega_eg),
-        "absorption": list(absorption),
+        "absorption": list(windowed_spectrum(offsets, weights, w - c.omega_eg, cfg.eta, t_max)),
     }
     if args.oracle:
-        lines = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim))
+        ref = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim))
         columns["oracle_absorption"] = list(
-            broadened_lines(w - c.omega_eg, lines, cfg.eta)
+            window_broadened(w - c.omega_eg, ref, cfg.eta, t_max)
         )
         meta["oracle_dim"] = cfg.thermal_dim
     _emit(cfg.fmt, cfg.out, meta, columns)
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="add truncated-basis reference columns")
     sp.set_defaults(func=cmd_correlation)
 
-    sp = sub.add_parser("spectrum", help="line list (T = 0) or sampled spectrum")
+    sp = sub.add_parser("spectrum", help="line list (T = 0) or windowed spectrum")
     common(sp)
     sp.add_argument("--oracle", action="store_true",
                     help="add truncated-basis reference columns")

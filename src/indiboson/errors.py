@@ -8,7 +8,6 @@ __all__ = [
     "OracleError",
     "DivergenceWarning",
     "InsufficientDecayWarning",
-    "ResolutionWarning",
 ]
 
 
@@ -27,9 +26,9 @@ class TruncationError(RuntimeError):
 
 
 class LineListError(RuntimeError):
-    """Raised when a zero-temperature line list cannot be streamed: the
-    first weight underflows to zero, or the list runs into its line cap
-    before reaching the sum rule."""
+    """Raised when a line list misses its accuracy target: the first T = 0
+    weight underflows, the list needs more levels than the cap allows, or
+    a thermal list fails its first-moment check."""
 
 
 class OracleError(RuntimeError):
@@ -44,10 +43,5 @@ class DivergenceWarning(UserWarning):
 
 
 class InsufficientDecayWarning(UserWarning):
-    """A damped Fourier transform was truncated before the integrand had
+    """A damped spectral window was cut off before the correlation had
     decayed enough for reliable line shapes."""
-
-
-class ResolutionWarning(UserWarning):
-    """A sampled transform hit its sample cap, so its time step is coarser
-    than the documented accuracy target asks for."""

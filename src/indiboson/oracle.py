@@ -39,6 +39,7 @@ __all__ = [
     "thermal_correlation",
     "franck_condon_weights",
     "thermal_line_list",
+    "window_broadened",
 ]
 
 BUFFER_TOL = 1e-8
@@ -266,11 +267,19 @@ def thermal_correlation(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
 
 
 def franck_condon_weights(c: Couplings, basis: TruncatedBasis, count: int) -> np.ndarray:
-    """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1."""
-    if count > basis.dim:
-        raise ValueError(f"count={count} exceeds dim={basis.dim}")
+    """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
+    a count reaching into the buffer, and weights that put more than
+    BUFFER_TOL on it: sum_n weight_n * (buffer population of eigenstate n)."""
+    if count > basis.buffer_start:
+        raise TruncationError(f"count={count} lines reach past the buffer start "
+                              f"{basis.buffer_start} (dim={basis.dim}); increase the basis")
     prop = Propagator(build_excited_hamiltonian(c, basis), basis)
-    return 2.0 * np.pi * prop.modes[0, :count] ** 2
+    weights = 2.0 * np.pi * prop.modes[0, :count] ** 2
+    leak = float(weights @ np.sum(prop.modes[basis.buffer_start :, :count] ** 2, axis=0))
+    if leak > BUFFER_TOL:
+        raise TruncationError(f"line weights put weighted buffer population {leak:.3e} "
+                              f"past the basis edge (dim={basis.dim}); increase the basis")
+    return weights
 
 
 def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
@@ -296,3 +305,14 @@ def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
                 )
     return lines
 
+
+def window_broadened(w_offsets, lines, eta: float, t_max: float) -> np.ndarray:
+    """Line list at offsets from the gap, each line through the finite
+    damped window weight/(2*pi) * 2*Re[(exp(s*t_max) - 1)/s] with
+    s = i*(w - offset) - eta."""
+    w = np.asarray(w_offsets, dtype=float)
+    out = np.zeros(w.shape)
+    for ln in lines:
+        s = 1j * (w - ln.offset) - eta
+        out += ln.weight / np.pi * ((np.exp(s * t_max) - 1.0) / s).real
+    return out

@@ -178,11 +178,26 @@ def test_finite_temperature_spectrum_samples_grid(tmp_path, capsys):
     cfg.write_text(SAMPLE)
     code, out, _ = run(["spectrum", "--config", str(cfg)], capsys)
     assert code == 0
-    _, columns = parse_csv(out)
+    meta, columns = parse_csv(out)
     assert list(columns) == ["w", "offset", "absorption"]
     assert len(columns["w"]) == 21
     a = np.array([float(v) for v in columns["absorption"]])
     assert np.max(a) > 1.0  # resolved peaks at eta = 0.1
+    # the line list behind the spectrum is recorded
+    assert int(meta["lines"]) > 0
+    assert 0.0 <= float(meta["moment_residual"]) <= 1e-9
+
+
+def test_finite_temperature_oracle_column_shares_the_window(capsys):
+    code, out, _ = run(["spectrum", "--preset", "fig2-both", "--oracle",
+                        "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["meta"]["oracle_dim"] == 256
+    assert payload["meta"]["lines"] > 0
+    a = np.array(payload["data"]["absorption"])
+    ref = np.array(payload["data"]["oracle_absorption"])
+    assert np.max(np.abs(a - ref)) <= 1e-8 * np.max(ref)
 
 
 def test_evolve_oracle_columns_agree(tmp_path, capsys):

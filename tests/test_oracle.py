@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from indiboson.analytic import spectrum_zero_T, vacuum_expansion_linear
+from indiboson.analytic import SpectralLine, spectrum_zero_T, vacuum_expansion_linear
+from indiboson.cli import main
 from indiboson.errors import TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
 from indiboson.oracle import (
@@ -25,6 +26,7 @@ from indiboson.oracle import (
     observable,
     thermal_correlation,
     thermal_line_list,
+    window_broadened,
 )
 
 
@@ -271,8 +273,26 @@ def test_franck_condon_weights_are_poisson_for_pure_displacement():
         [math.factorial(n) for n in range(12)], dtype=float
     )
     assert np.max(np.abs(w - expect)) < 1e-10
-    with pytest.raises(ValueError, match="count"):
+    with pytest.raises(TruncationError, match="count"):
         franck_condon_weights(c, TruncatedBasis(8), 9)
+
+
+@pytest.mark.parametrize("ratio, lam", [(1.5, 6.0), (2.0, 5.0)])
+def test_franck_condon_weights_check_their_buffer(tmp_path, capsys, ratio, lam):
+    # at dim 128 these lists lean on eigenstates that live in the buffer
+    # (one printed weight of the first was off by 0.248), and both have
+    # more lines than the levels below the buffer
+    c = make(omega_e=ratio, lam=lam)
+    count = len(spectrum_zero_T(c))
+    with pytest.raises(TruncationError, match="weighted buffer population"):
+        franck_condon_weights(c, TruncatedBasis(128), 60)
+    with pytest.raises(TruncationError, match=f"count={count}"):
+        franck_condon_weights(c, TruncatedBasis(128), count)
+    assert franck_condon_weights(c, TruncatedBasis(512), count).shape == (count,)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"omega_g = 1\nomega_e = {ratio}\nlambda_g = {lam}\nbeta = inf\n")
+    assert main(["spectrum", "--config", str(cfg), "--oracle"]) == 3
+    assert "increase the basis" in capsys.readouterr().err
 
 
 def test_cold_line_list_agrees_with_analytic_lines():
@@ -288,3 +308,13 @@ def test_cold_line_list_agrees_with_analytic_lines():
         assert got[n].offset == pytest.approx(want.offset, abs=1e-8)
         assert got[n].weight == pytest.approx(want.weight, abs=1e-8)
 
+
+def test_window_broadened_line_shape():
+    # at its own offset a line's window integrates to 2*(1 - e^{-eta T})/eta;
+    # off the line it approaches the Lorentzian as the window lengthens
+    lines = [SpectralLine(offset=0.5, weight=2.0 * math.pi)]
+    a = window_broadened([0.5, 0.8], lines, eta=0.1, t_max=80.0)
+    assert a[0] == pytest.approx(2.0 * (1.0 - math.exp(-8.0)) / 0.1, rel=1e-12)
+    long = window_broadened([0.8], lines, eta=0.1, t_max=800.0)
+    assert long[0] == pytest.approx(2.0 * 0.1 / (0.3**2 + 0.1**2), rel=1e-12)
+    assert abs(a[1] - long[0]) < 2.0 * math.exp(-8.0) / 0.1

@@ -1,29 +1,35 @@
-"""Line lists and damped-transform spectra.
+"""Line lists and windowed spectra.
 
 The independent reference here expands the vacuum return amplitude as a
 Taylor series in z = e^{-i omega_e t}; its coefficients are the line
 weights over 2*pi, so the weights of the Franck-Condon recursion can be
-checked against plain series arithmetic.
+checked against plain series arithmetic. Thermal spectra are checked
+against the oracle's line list through the same finite window.
 """
 
 import math
-import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indiboson import analytic
 from indiboson.analytic import (
-    broadened_lines,
+    SpectralLine,
     spectrum_finite_T,
     spectrum_zero_T,
+    thermal_lines,
+    windowed_spectrum,
 )
-from indiboson.errors import InsufficientDecayWarning, LineListError, ResolutionWarning
+from indiboson.errors import InsufficientDecayWarning, LineListError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
-from indiboson.oracle import TruncatedBasis, franck_condon_weights, thermal_line_list
+from indiboson.oracle import (
+    TruncatedBasis,
+    franck_condon_weights,
+    thermal_line_list,
+    window_broadened,
+)
 
 import powerseries  # the tests' independent series reference
 
@@ -51,6 +57,35 @@ def weights_by_series(c, count):
     coeffs = powerseries.multiply(root, expo)
     assert np.max(np.abs(coeffs.imag)) < 1e-13
     return coeffs.real
+
+
+def broadened_lines(w_offsets, lines, eta):
+    """Lorentzian-broadened line list (the infinite-window limit) sampled at
+    offsets from the gap."""
+    if eta <= 0.0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    w = np.asarray(w_offsets, dtype=float)[:, None]
+    off = np.array([ln.offset for ln in lines])[None, :]
+    wt = np.array([ln.weight for ln in lines])[None, :]
+    return np.sum(wt / math.pi * eta / ((w - off) ** 2 + eta**2), axis=1)
+
+
+def scalar_zero_T(c):
+    """The zero-temperature list as one scalar loop over Python floats,
+    in the recursion's order of operations."""
+    gp, gm, lam = c.gamma_plus, c.gamma_minus, c.lambda_g
+    a_prev = 0.0
+    a_cur = math.sqrt(2.0 * math.pi / gp) * math.exp(-0.5 * c.lambda_e * lam / gp)
+    lines, total = [], 0.0
+    for n in range(2000):
+        w = a_cur * a_cur
+        lines.append((0.5 * (c.omega_e - c.omega_g) + n * c.omega_e, w))
+        total += w
+        if total >= 2.0 * math.pi * (1.0 - 1e-10):
+            return lines
+        a_next = (gm * math.sqrt(n) * a_prev - lam * a_cur) / (gp * math.sqrt(n + 1))
+        a_prev, a_cur = a_cur, a_next
+    raise AssertionError("no sum rule within 2000 lines")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +141,16 @@ def test_weights_match_series_expansion(ratio, lam):
         assert lines[n].weight == pytest.approx(2.0 * math.pi * expect[n], abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ratio, lam", [(1.0, 1.0), (2.0, 0.0), (2.0, 1.0), (1.5, 6.0), (2.0, 5.0)]
+)
+def test_zero_T_list_is_bitwise_the_scalar_recursion(ratio, lam):
+    # the three presets and two long lists: the shared vectorised sweep
+    # reproduces the scalar recursion's lines bit for bit
+    got = [(ln.offset, ln.weight) for ln in spectrum_zero_T(make(omega_e=ratio, lam=lam))]
+    assert got == scalar_zero_T(make(omega_e=ratio, lam=lam))
+
+
 @pytest.mark.parametrize("ratio, lam", [(1.5, 6.0), (2.0, 5.0), (2.0, 6.0), (3.0, 4.0)])
 def test_frequency_change_with_large_displacement_reaches_sum_rule(ratio, lam):
     # lists of 125 to 167 lines whose unnormalised Hermite factors would
@@ -156,12 +201,10 @@ def test_line_list_names_the_weight_that_fails():
 
 
 # ---------------------------------------------------------------------------
-# Lorentzian broadening
+# Lorentzian broadening (test reference)
 
 
 def test_broadened_single_line_peak_height():
-    from indiboson.analytic import SpectralLine
-
     lines = [SpectralLine(offset=0.0, weight=2.0 * math.pi)]
     w = np.array([-0.3, 0.0, 0.3])
     a = broadened_lines(w, lines, eta=0.1)
@@ -172,7 +215,7 @@ def test_broadened_single_line_peak_height():
 
 
 # ---------------------------------------------------------------------------
-# damped transform
+# thermal line lists and windowed spectra
 
 
 def test_zero_coupling_spectrum_is_a_lorentzian_at_the_gap():
@@ -208,6 +251,59 @@ def test_thermal_spectrum_matches_broadened_reference_lines(mixed):
     assert np.max(np.abs(a - model)) < 2e-3 * np.max(model)
 
 
+@pytest.mark.parametrize(
+    "ratio, lam, beta",
+    [(1.0, 2.0, 0.3), (3.0, 2.0, 0.3), (0.5, 2.0, 0.3), (2.0, 2.0, 0.3), (3.0, 2.0, 5.0)],
+)
+def test_thermal_spectrum_matches_oracle_lines_in_the_same_window(ratio, lam, beta):
+    # the hottest and most strongly coupled corners of the benchmark box,
+    # where the forward sweep amplifies rounding the most
+    c = make(omega_e=ratio, lam=lam)
+    th = ThermalParams(beta)
+    w = np.linspace(-2.0 * ratio, 8.0 * ratio, 801)
+    eta = 0.01 * ratio
+    got = spectrum_finite_T(th, c, w, eta=eta)
+    ref = window_broadened(w, thermal_line_list(th, c, TruncatedBasis(512)), eta, 8.0 / eta)
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(ref)
+
+
+@settings(max_examples=30)
+@given(ratio=st.floats(0.5, 3.0), lam=st.floats(0.0, 2.0), beta=st.floats(0.3, 5.0))
+@example(ratio=3.0, lam=2.0, beta=0.3)
+@example(ratio=0.5, lam=2.0, beta=0.3)
+def test_thermal_lines_meet_first_moment_and_sum_rule(ratio, lam, beta):
+    offsets, weights, residual = thermal_lines(ThermalParams(beta), make(omega_e=ratio, lam=lam))
+    assert residual <= 1e-9
+    # only the Boltzmann tail below the 1e-12 floor is missing
+    assert weights.sum() == pytest.approx(2.0 * math.pi, abs=1e-10)
+    assert np.all(np.diff(offsets) > 0.0)
+
+
+def test_rational_ratio_merges_equal_offsets(mixed):
+    # omega_e = 2*omega_g puts many (n, p) pairs on one offset
+    offsets, _, _ = thermal_lines(ThermalParams(0.5), mixed)
+    assert np.array_equal(offsets, np.unique(offsets))
+    assert np.allclose(offsets, np.round(offsets * 2.0) / 2.0, atol=1e-12)
+
+
+def test_thermal_line_list_is_the_zero_T_list_when_cold(mixed):
+    offsets, weights, _ = thermal_lines(T_ZERO, mixed)
+    cold = spectrum_zero_T(mixed)
+    n = len(cold)
+    assert np.allclose(offsets[:n], [ln.offset for ln in cold], atol=1e-12)
+    assert np.allclose(weights[:n], [ln.weight for ln in cold], atol=1e-12)
+
+
+def test_thermal_line_list_refuses_what_it_cannot_reach():
+    with pytest.raises(LineListError, match="2000"):
+        thermal_lines(ThermalParams(1e-3), make(omega_e=2.0, lam=1.0))
+    # a Huang-Rhys factor of 900 needs ~1300 levels: the rows grow to the
+    # 2000-level cap instead of doubling past it
+    _, weights, residual = thermal_lines(ThermalParams(1.0), make(lam=30.0))
+    assert residual <= 1e-9
+    assert weights.sum() == pytest.approx(2.0 * math.pi, abs=1e-9)
+
+
 def test_transform_is_deterministic(squeezed):
     th = ThermalParams(0.5)
     w = np.linspace(-3.0, 13.0, 201)
@@ -241,66 +337,40 @@ def _jittered_grid():
 
 
 def _nudged_grid():
-    # one point off by 1e-9: a phase of 4e-8 rad over t_max = 40
     w = np.linspace(-3.0, 13.0, 401)
     w[200] += 1e-9
     return w
 
 
 @pytest.mark.parametrize(
-    "w, fast",
+    "w",
     [
-        (np.linspace(-1.0, 3.0, 2), True),
-        (np.linspace(-3.0, 13.0, 401), True),
-        (np.linspace(-3.0, 13.0, 400), True),
-        (np.linspace(13.0, -3.0, 401), True),
-        (_benchmark_style_grid(-3.0, 13.0, 333), True),
-        (np.array([2.0]), False),
-        (_jittered_grid(), False),
-        (_nudged_grid(), False),
+        np.linspace(-1.0, 3.0, 2),
+        np.linspace(-3.0, 13.0, 401),
+        np.linspace(-3.0, 13.0, 400),
+        np.linspace(13.0, -3.0, 401),
+        _benchmark_style_grid(-3.0, 13.0, 333),
+        np.array([2.0]),
+        _jittered_grid(),
+        _nudged_grid(),
     ],
     ids=["two-point", "odd", "even", "descending", "lo+k*step", "one-point",
          "jittered", "nudged"],
 )
-def test_chirp_z_transform_matches_horner(monkeypatch, w, fast):
-    # a nonzero gap puts roundoff into the offsets w - omega_eg, which the
-    # uniform grids must tolerate
+def test_window_sum_matches_direct_line_sum(w):
+    # every grid takes one path; the reference sums each line's window
+    # 2*Re[(e^{sT} - 1)/s] in complex arithmetic, one line at a time, and a
+    # nonzero gap puts roundoff into the offsets w - omega_eg
     c = make(omega_e=2.0, lam=1.0, eps_e=0.7)
     th = ThermalParams(0.5)
-    calls = []
-    chirp_z = analytic._chirp_z_sum
-
-    def spy(*args):
-        calls.append(args)
-        return chirp_z(*args)
-
-    monkeypatch.setattr(analytic, "_chirp_z_sum", spy)
-    got = spectrum_finite_T(th, c, w, eta=0.2)
-    assert bool(calls) == fast
-    monkeypatch.setattr(analytic, "_uniform_step", lambda delta, t_span: None)
-    want = spectrum_finite_T(th, c, w, eta=0.2)
-    assert len(calls) == int(fast)
-    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-
-
-def test_sample_cap_warns_with_the_steps_and_error():
-    # narrow lines on a stiff excited mode: the curvature target asks for
-    # about 640,000 samples over t_max = 4000
-    c = make(omega_e=5.0, lam=1.0)
-    w = np.linspace(-10.0, 40.0, 201)
-    with pytest.warns(ResolutionWarning, match="400,001-sample cap") as record:
-        a = spectrum_finite_T(T_ZERO, c, w, eta=0.002)
-    found = re.search(
-        r"time step (\S+) needed .* using step (\S+), estimated interpolation "
-        r"error (\S+)$",
-        str(record[0].message),
-    )
-    asked, used, error = (float(v) for v in found.groups())
-    assert used == 0.01  # t_max / 400,000
-    assert asked < used
-    # curvature * h**2 / 8 with the curvature the asked-for step was set from
-    assert error == pytest.approx(1e-5 * (used / asked) ** 2, rel=5e-3)
-    assert np.all(np.isfinite(a))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ResolutionWarning)
-        spectrum_finite_T(T_ZERO, c, w, eta=0.1)
+    eta, t_max = 0.2, 40.0
+    offsets, weights, _ = thermal_lines(th, c)
+    got = spectrum_finite_T(th, c, w, eta=eta)
+    delta = w - c.omega_eg
+    want = np.zeros(w.size)
+    for off, weight in zip(offsets, weights):
+        s = 1j * (delta - off) - eta
+        want += weight / math.pi * ((np.exp(s * t_max) - 1.0) / s).real
+    assert got.shape == w.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(windowed_spectrum(offsets, weights, delta, eta, t_max), got)
