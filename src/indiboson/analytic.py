@@ -28,7 +28,7 @@ from .errors import (
     PoleError,
 )
 from .model import Couplings, ThermalParams, time_coeffs
-from .specfun import laguerre_half_seq, laguerre_seq
+from .specfun import laguerre_half_at_zero, laguerre_half_seq, laguerre_seq
 
 __all__ = [
     "WINDOW_DECAY",
@@ -260,9 +260,12 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
     half = laguerre_half_seq(p, -lam * lam / (d * (1.0 - q)))
     ratio = (1.0 + q) / (1.0 - q)
     column = (p + 1,) + (1,) * (half.ndim - 1)  # broadcast the k-sum over the times
-    k = np.arange(p + 1).reshape(column)
-    terms = laguerre_half_seq(p, 0.0)[::-1].reshape(column) * half
-    acc = np.sum(ratio**k * terms, axis=0)
+    at_zero = laguerre_half_at_zero(p)[::-1]  # L^{(-1/2)}_{p-k}(0)
+    powers = np.empty(half.shape, dtype=complex)  # ratio**k as a running product
+    powers[0] = 1.0
+    powers[1:] = ratio
+    powers.cumprod(axis=0, out=powers)
+    acc = np.sum(powers * at_zero.reshape(column) * half, axis=0)
     value = (
         _t0_return_factor(c, t)
         * np.exp(-0.5j * c.omega_e * t)

@@ -113,15 +113,20 @@ class Couplings:
 
 
 def derive_couplings(params: ModelParams) -> Couplings:
-    """Derive all coupling constants from the bare parameters."""
-    ratio = math.sqrt(params.omega_e / params.omega_g)
-    gamma_plus = 0.5 * (ratio + 1.0 / ratio)
-    gamma_minus = 0.5 * (ratio - 1.0 / ratio)
-    lambda_g = params.shift_l * math.sqrt(params.omega_g / 2.0)
-    lambda_e = params.shift_l * math.sqrt(params.omega_e / 2.0)
-    lambda1 = lambda_e * ratio
-    lambda2 = (params.omega_g**2 - params.omega_e**2) / (4.0 * params.omega_e * params.omega_g)
-    return Couplings(
+    """Derive all coupling constants from the bare parameters; raises
+    ValueError when extreme (finite) parameters overflow one of them."""
+    try:
+        ratio = math.sqrt(params.omega_e / params.omega_g)
+        gamma_plus = 0.5 * (ratio + 1.0 / ratio)
+        gamma_minus = 0.5 * (ratio - 1.0 / ratio)
+        lambda_g = params.shift_l * math.sqrt(params.omega_g / 2.0)
+        lambda_e = params.shift_l * math.sqrt(params.omega_e / 2.0)
+        lambda1 = lambda_e * ratio
+        lambda2 = (params.omega_g**2 - params.omega_e**2) / (4.0 * params.omega_e * params.omega_g)
+        epsilon_e_prime = params.epsilon_e + params.omega_e * lambda_e**2
+    except ArithmeticError:  # a float ** overflows, or a product underflows to 0
+        raise ValueError(f"derived couplings leave the float range for {params}") from None
+    c = Couplings(
         omega_g=params.omega_g,
         omega_e=params.omega_e,
         epsilon_g=params.epsilon_g,
@@ -133,8 +138,12 @@ def derive_couplings(params: ModelParams) -> Couplings:
         lambda1=lambda1,
         lambda2=lambda2,
         omega_eg=params.epsilon_e - params.epsilon_g,
-        epsilon_e_prime=params.epsilon_e + params.omega_e * lambda_e**2,
+        epsilon_e_prime=epsilon_e_prime,
     )
+    for name, value in vars(c).items():
+        if not math.isfinite(value):
+            raise ValueError(f"derived coupling {name} = {value!r} is not finite for {params}")
+    return c
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class OracleState:
             raise ValueError(
                 f"amplitudes shape {amps.shape} does not match dim {self.basis.dim}"
             )
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-10")
         object.__setattr__(self, "amplitudes", amps)
@@ -113,7 +113,8 @@ class OracleState:
 
     @property
     def buffer_population(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes[self.basis.buffer_start :]) ** 2))
+        tail = self.amplitudes[self.basis.buffer_start :]
+        return float(np.vdot(tail, tail).real)
 
 
 def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -150,19 +151,37 @@ class Propagator:
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
 
 
+def _is_diagonal(op: np.ndarray) -> bool:
+    """True for a real floating square op with no nonzero entry off the
+    diagonal (a NaN counts as nonzero), so that op - op.T is exactly zero.
+    The off-diagonal is read once, as the (n-1, n) view of the flat storage
+    between consecutive diagonal entries; a transposed read of the whole op
+    costs several times more."""
+    if op.dtype.kind != "f" or op.ndim != 2 or op.shape[0] != op.shape[1] or op.size == 0:
+        return False
+    n = op.shape[0]
+    return not op.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
+
+
 def observable(state: OracleState, op: np.ndarray) -> float:
     """<state|op|state> for Hermitian op; rejects non-finite operators and
     nonreal results. A real op is checked as max|op - op.T| and applied in
-    real arithmetic."""
+    real arithmetic; a real diagonal op passes that check by construction,
+    so only its diagonal is checked for finiteness."""
     op = np.asarray(op)
     real = not np.iscomplexobj(op)
-    if real:
+    diagonal = real and _is_diagonal(op)
+    if diagonal:
+        amax = float(np.max(np.abs(np.diagonal(op))))  # NaN propagates
+    elif real:
         amax = max(abs(float(op.max())), abs(float(op.min())))  # NaN propagates
     else:
         amax = float(np.max(np.abs(op)))
     if not math.isfinite(amax):
         raise ValueError("operator is not finite")
-    if real:
+    if diagonal:
+        asym = 0.0
+    elif real:
         asym = float(np.max(op - op.T))  # op - op.T is antisymmetric: max is max|.|
     else:
         asym = float(np.max(np.abs(op - op.conj().T)))

@@ -5,14 +5,15 @@ numpy array of shape ``(order + 1,) + np.shape(x)``, so ``seq[p]`` is the
 order-p polynomial at every argument; it is real for real arguments and
 complex for complex ones. The three-term recurrences are numerically
 benign here because the closed forms only ever combine neighbouring orders
-of comparable magnitude.
+of comparable magnitude. The values at x = 0 have a product form, which
+``laguerre_half_at_zero`` evaluates without a recurrence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["laguerre_seq", "laguerre_half_seq"]
+__all__ = ["laguerre_seq", "laguerre_half_seq", "laguerre_half_at_zero"]
 
 
 def _empty_seq(order: int, x):
@@ -42,3 +43,14 @@ def laguerre_half_seq(order: int, x):
     for p in range(2, order + 1):
         out[p] = ((2.0 * p - 1.5 - x) * out[p - 1] - (p - 1.5) * out[p - 2]) / p
     return out
+
+
+def laguerre_half_at_zero(order: int) -> np.ndarray:
+    """L^{(-1/2)}_0(0) .. L^{(-1/2)}_order(0) = C(2k, k)/4**k, as the running
+    product prod_{j<=k} (j - 1/2)/j."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    j = np.arange(1.0, order + 1)
+    out = np.ones(order + 1)
+    out[1:] = (j - 0.5) / j
+    return out.cumprod()

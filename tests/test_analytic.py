@@ -31,6 +31,7 @@ from indiboson.analytic import (
 )
 from indiboson.errors import DivergenceWarning, PoleError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings, time_coeffs
+from indiboson.oracle import Propagator, TruncatedBasis, build_excited_hamiltonian
 
 import powerseries  # the tests' independent series reference
 
@@ -249,6 +250,21 @@ def test_overlap_series_route_matches_closed_form(squeezed, mixed):
                 assert seq[p] == pytest.approx(
                     overlap_quadratic(p, c, t).value, abs=1e-12
                 )
+
+
+def test_overlap_at_high_order_matches_series_and_oracle():
+    # p = 60 with a frequency change and a displacement, where the k-sum
+    # has 61 terms of the running products
+    c = make(omega_e=1.4, lam=1.5)
+    ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 400)
+    got = overlap_quadratic(60, c, ts).value
+    for i in range(0, ts.size, 40):
+        seq = overlap_quadratic_series(60, c, ts[i])
+        assert seq[60] == pytest.approx(got[i], abs=1e-12)
+    basis = TruncatedBasis(256)
+    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
+    ref = prop.return_amplitude(60, ts, energy_offset=c.epsilon_e)
+    assert np.max(np.abs(got - ref)) <= 1e-6
 
 
 def test_overlap_antiperiodic_over_one_mode_period(mixed):

@@ -311,6 +311,26 @@ def test_non_finite_eta_flag_is_a_config_error(capsys, value):
     assert err == f"error: eta: expected a finite number, got {value}\n"
 
 
+@pytest.mark.parametrize("setup, field", [
+    ("omega_g = 1\nomega_e = 1\nlambda_g = 1e160\n", None),  # lambda_e**2 overflows
+    ("omega_g = 1\nomega_e = 1e300\nlambda_g = 1\n", None),  # omega_e**2 overflows
+    ("omega_g = 1e200\nomega_e = 1e-200\nlambda_g = 1\n", None),  # the ratio underflows
+    ("omega_g = 1\nomega_e = 1e10\nlambda_g = 1e145\n", "epsilon_e_prime"),  # inf
+])
+@pytest.mark.parametrize("command", ["couplings", "evolve", "spectrum"])
+def test_overflowing_couplings_are_a_config_error(tmp_path, capsys, command, setup, field):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: derived coupling") and err.count("\n") == 1
+    if field is not None:
+        assert f"{field} = inf is not finite" in err
+
+
 def test_unknown_preset_is_a_config_error(capsys):
     code, _, err = run(["couplings", "--preset", "fig9"], capsys)
     assert code == 2

@@ -157,6 +157,75 @@ def test_observable_rejects_non_finite_operators(bad, dtype):
 
 
 # ---------------------------------------------------------------------------
+# observable's one-read check of a diagonal operator
+
+
+def _diagonal_setup():
+    """A random state with levels 6 and 7 empty, and a positive diagonal."""
+    basis = TruncatedBasis(8)
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps[6:] = 0.0
+    return OracleState(amps / np.linalg.norm(amps), basis), rng.uniform(0.5, 3.0, size=8)
+
+
+def test_observable_of_a_diagonal_operator_is_a_weighted_population():
+    state, d = _diagonal_setup()
+    op = np.diag(d)
+    value = observable(state, op)
+    want = math.fsum(d * np.abs(state.amplitudes) ** 2)
+    assert abs(value - want) <= 1e-15 * want
+    # a symmetric entry between the two empty levels adds nothing to the
+    # value but sends the op through the full op - op.T check
+    dense = op.copy()
+    dense[6, 7] = dense[7, 6] = 1.0
+    assert abs(observable(state, dense) - value) <= 1e-15 * value
+    layouts = {"fortran": np.asfortranarray(op), "transposed view": dense.T,
+               "complex": op.astype(complex)}
+    for name, view in layouts.items():
+        assert abs(observable(state, view) - value) <= 1e-15 * value, name
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("entry, accepted", [
+    (math.nan, False), (math.inf, False), (-math.inf, False), (-0.0, True), (5e-324, True),
+])
+def test_observable_off_diagonal_special_values(entry, accepted, symmetric):
+    state, d = _diagonal_setup()
+    op = np.diag(d)
+    op[1, 4] = entry
+    if symmetric:
+        op[4, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if accepted:
+            want = observable(state, np.diag(d))
+            assert observable(state, op) == pytest.approx(want, rel=1e-15)
+        else:
+            with pytest.raises(ValueError, match="not finite"):
+                observable(state, op)
+
+
+def test_observable_rejects_asymmetric_operators_in_any_layout():
+    state, d = _diagonal_setup()
+    lone = np.zeros((8, 8))
+    lone[0, 3] = 1.0  # the only nonzero entry, off the diagonal
+    upper = np.diag(d)
+    upper[2, 5] = 0.5
+    for op in (lone, upper, destroy(state.basis)):
+        for view in (op, np.asfortranarray(op), op.T, op.astype(complex)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                observable(state, view)
+
+
+@pytest.mark.parametrize("shape", [(8, 9), (7, 8)])
+def test_observable_rejects_non_square_operators(shape):
+    state, _ = _diagonal_setup()
+    with pytest.raises(ValueError, match="broadcast"):
+        observable(state, np.zeros(shape))
+
+
+# ---------------------------------------------------------------------------
 # real arithmetic on the real eigenbasis
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from indiboson.specfun import laguerre_half_seq, laguerre_seq
+from indiboson.specfun import laguerre_half_at_zero, laguerre_half_seq, laguerre_seq
 
 # ---------------------------------------------------------------------------
 # exact references: complex numbers as Fraction pairs
@@ -180,8 +180,22 @@ def test_sequences_accept_array_arguments():
             assert seq[(slice(None),) + idx] == pytest.approx(fn(7, arg[idx]), rel=1e-14)
 
 
+def test_half_order_values_at_zero_are_central_binomials():
+    # L^{(-1/2)}_k(0) = C(2k, k)/4**k exactly. The running product rounds
+    # twice per order; 10 eps bounds k <= 200 (the largest error, 5 eps,
+    # is at k = 200), where the three-term recurrence is 1e-13 off.
+    vals = laguerre_half_at_zero(200)
+    assert vals.shape == (201,) and vals.dtype == np.float64
+    for k, v in enumerate(vals):
+        exact = Fraction(math.comb(2 * k, k), 4**k)
+        assert abs(Fraction(float(v)) / exact - 1) <= 10 * np.finfo(float).eps, k
+    assert laguerre_half_at_zero(0).tolist() == [1.0]
+
+
 def test_negative_order_rejected():
     with pytest.raises(ValueError, match="order"):
         laguerre_seq(-1, 0.0)
     with pytest.raises(ValueError, match="order"):
         laguerre_half_seq(-2, 0.0)
+    with pytest.raises(ValueError, match="order"):
+        laguerre_half_at_zero(-1)
