@@ -15,7 +15,6 @@ from .analytic import (
     correlation,
     excited_mean_energy,
     excited_phonon_number,
-    generating_function,
     overlap,
     overlap_linear,
     overlap_quadratic,
@@ -32,8 +31,6 @@ from .analytic import (
 )
 from .errors import (
     ConfigError,
-    DivergenceWarning,
-    InsufficientDecayWarning,
     LineListError,
     OracleError,
     PoleError,
@@ -57,8 +54,6 @@ __all__ = [
     "ThermalParams",
     "TimeCoeffs",
     "ConfigError",
-    "DivergenceWarning",
-    "InsufficientDecayWarning",
     "LineListError",
     "OracleError",
     "PoleError",
@@ -67,7 +62,6 @@ __all__ = [
     "derive_couplings",
     "excited_mean_energy",
     "excited_phonon_number",
-    "generating_function",
     "overlap",
     "overlap_linear",
     "overlap_quadratic",

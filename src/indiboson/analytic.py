@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DivergenceWarning,
-    InsufficientDecayWarning,
-    LineListError,
-    PoleError,
-)
+from .errors import LineListError, PoleError
 from .model import Couplings, ThermalParams, time_coeffs
 from .specfun import laguerre_half_at_zero, laguerre_half_seq, laguerre_seq
 
@@ -45,7 +39,6 @@ __all__ = [
     "excited_mean_energy",
     "overlap_linear",
     "overlap_quadratic",
-    "generating_function",
     "spectrum_zero_T",
     "thermal_lines",
     "windowed_spectrum",
@@ -53,11 +46,11 @@ __all__ = [
     "polaron_state_check",
 ]
 
-# Distance below which a generating-function argument counts as sitting on
-# a pole.
+# Distance below which the thermal generating-function argument counts as
+# sitting on a pole.
 POLE_TOL = 1e-9
 
-# Default eta*t_max of the finite-temperature window.
+# eta*t_max of the finite-temperature window.
 WINDOW_DECAY = 8.0
 
 _SUM_RULE_TAIL = 1e-10
@@ -283,52 +276,7 @@ def overlap(p: int, c: Couplings, ts) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generating function and thermal correlation
-
-
-def _check_generating_argument(x, q, context=""):
-    x = np.asarray(x)
-    q = np.asarray(q)
-    near_pole = np.minimum(np.abs(x - (1.0 - q)), np.abs(x - (1.0 + q)))
-    if np.any(near_pole < POLE_TOL):
-        raise PoleError(
-            f"generating-function argument within {POLE_TOL:g} of a pole{context}"
-        )
-    radius = np.minimum(np.abs(1.0 - q), np.abs(1.0 + q))
-    if np.any(np.abs(x) >= radius):
-        warnings.warn(
-            "generating-function argument lies outside the Taylor convergence "
-            f"disk{context}; returning the analytic continuation",
-            DivergenceWarning,
-            stacklevel=3,
-        )
-
-
-def generating_function(x: complex, c: Couplings, t: float) -> complex:
-    """Generating function K(x) = sum_p x**p T_p of the scaled return
-    amplitudes at time t.
-
-    Closed form: T0 * sqrt((1-q**2)/((x-1)**2 - q**2))
-    * exp(-x*lam**2/(d*(x-1+q)*(1-q))), with simple poles at x = 1 -+ q.
-    Arguments within POLE_TOL of a pole raise :class:`PoleError`;
-    arguments on or outside the nearer pole's radius emit
-    :class:`DivergenceWarning` since the Taylor series no longer
-    converges there, while the returned continuation stays finite.
-    """
-    tc = time_coeffs(c, t)
-    d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
-    x = complex(x)
-    _check_generating_argument(x, q)
-    za = 1.0 - x / (1.0 + q)
-    zb = 1.0 - x / (1.0 - q)
-    # single principal sqrt of the product: both factors have positive real
-    # part inside the convergence disk, so the product stays off the cut
-    value = (
-        _t0_return_factor(c, t)
-        * (za * zb) ** -0.5
-        * np.exp(-x * lam * lam / (d * ((x - 1.0 + q) * (1.0 - q))))
-    )
-    return complex(value)
+# thermal correlation
 
 
 def _correlation_linear_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
@@ -347,16 +295,20 @@ def _correlation_linear_values(th: ThermalParams, c: Couplings, ts) -> np.ndarra
 
 
 def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
-    """General couplings: the generating function evaluated at
-    x = e^{-beta omega_g} e^{i(omega_g - omega_e) t} d'."""
+    """General couplings: (1 - e^{-beta omega_g}) e^{-i omega_eg t}
+    e^{i(omega_g - omega_e) t/2} K(x) at x = e^{-beta omega_g}
+    e^{i(omega_g - omega_e) t} d', with K(x) = sum_p x**p T_p the generating
+    function of the scaled return amplitudes,
+    K(x) = T0 * ((1 - x/(1+q))*(1 - x/(1-q)))**-1/2 * exp(-x*lam**2/(d*(x-1+q)*(1-q)))."""
+    boltz = th.boltzmann(c.omega_g)
+    # |x| = boltz * |1 -+ q| exactly, so x stays a distance of at least
+    # 1 - boltz from the poles x = 1 -+ q, inside the convergence disk
+    if 1.0 - boltz < POLE_TOL:
+        raise PoleError(f"thermal argument within {POLE_TOL:g} of a generating-function "
+                        f"pole (beta={th.beta!r})")
     tc = time_coeffs(c, ts)
     d_prime, d, q, lam = tc.d_tilde_prime, tc.d_tilde, tc.q_tilde, tc.lam_tilde
-    boltz = th.boltzmann(c.omega_g)
     x = boltz * np.exp(1j * (c.omega_g - c.omega_e) * ts) * d_prime
-    # |x| = boltz * |1 -+ q| exactly, so for any beta > 0 the argument sits
-    # strictly inside the convergence disk; the guard only fires for
-    # beta*omega_g below ~1e-9.
-    _check_generating_argument(x, q, context=f" (thermal argument, beta={th.beta!r})")
     # normalized pole factors (1 - x/(1 -+ q))/(1 - boltz) equal 1 exactly
     # at t = 0, making G(0) = 1 + 0j exact
     za = (1.0 - x / (1.0 + q)) / (1.0 - boltz)
@@ -462,8 +414,8 @@ def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.ndarray, np.ndarr
     Each column's first moment sum_n n*<n_e|p_g>**2 must equal
     gamma_plus**2*p + gamma_minus**2*(p+1) + lambda_e**2; the
     Boltzmann-weighted relative deviation reads 2-4 times the spectrum's
-    error relative to its peak. Above 1e-5, or past 2000 levels,
-    :class:`LineListError` is raised.
+    error relative to its peak. Above 1e-5, past 2000 levels, or when the
+    sweep overflows, :class:`LineListError` is raised.
     """
     boltz = th.boltzmann(c.omega_g)
     pops = (1.0 - boltz) * boltz ** np.arange(_LINE_CAP + 1)
@@ -477,7 +429,11 @@ def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.ndarray, np.ndarr
     rows = min(int(mean + 10.0 * math.sqrt(mean + 1.0)) + 1, _LINE_CAP)
     sweep, amps = _franck_condon_rows(c, cols), np.empty((0, cols))
     while True:
-        amps = np.vstack([amps, *itertools.islice(sweep, rows - len(amps))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = np.vstack([amps, *itertools.islice(sweep, rows - len(amps))])
+        if not np.isfinite(amps).all():
+            raise LineListError(f"thermal line sweep at beta={th.beta!r} overflows "
+                                f"within {rows} levels")
         probs = np.linalg.qr(amps)[0] ** 2
         if pops @ probs[rows - rows // 8 :].sum(axis=0) <= _ROW_TAIL:
             break
@@ -520,35 +476,19 @@ def windowed_spectrum(offsets, weights, delta, eta: float, t_max: float) -> np.n
     return (out / math.pi).reshape(delta.shape)
 
 
-def spectrum_finite_T(
-    th: ThermalParams,
-    c: Couplings,
-    w_grid,
-    eta: float | None = None,
-    t_max: float | None = None,
-) -> np.ndarray:
-    """Absorption spectrum A(w) = 2*Re int_0^t_max e^{i w t - eta t} G(t) dt
-    on an absolute frequency grid: :func:`windowed_spectrum` of
-    :func:`thermal_lines`, exact up to the lines' first-moment residual.
-
-    eta defaults to 0.02*omega_e and t_max to WINDOW_DECAY/eta; a shorter
-    window (eta*t_max < 5) emits :class:`InsufficientDecayWarning`.
+def spectrum_finite_T(th: ThermalParams, c: Couplings, w_grid,
+                      eta: float | None = None) -> np.ndarray:
+    """Absorption spectrum A(w) = 2*Re int_0^T e^{i w t - eta t} G(t) dt on
+    an absolute frequency grid, with T = WINDOW_DECAY/eta so that the window
+    decays by e^-8: :func:`windowed_spectrum` of :func:`thermal_lines`,
+    exact up to the lines' first-moment residual. eta defaults to
+    0.02*omega_e.
     """
     eta = 0.02 * c.omega_e if eta is None else float(eta)
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    t_max = WINDOW_DECAY / eta if t_max is None else float(t_max)
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
-    if t_max * eta < 5.0:
-        warnings.warn(
-            f"eta*t_max = {t_max * eta:.3g} < 5: correlation decays by only "
-            f"e^-{t_max * eta:.3g} over the window, expect ringing",
-            InsufficientDecayWarning,
-            stacklevel=2,
-        )
     delta = np.asarray(w_grid, dtype=float) - c.omega_eg
-    return windowed_spectrum(*thermal_lines(th, c)[:2], delta, eta, t_max)
+    return windowed_spectrum(*thermal_lines(th, c)[:2], delta, eta, WINDOW_DECAY / eta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package. Every failure the package
+reports is one of these or a ValueError."""
 
 __all__ = [
     "ConfigError",
@@ -6,8 +7,6 @@ __all__ = [
     "TruncationError",
     "LineListError",
     "OracleError",
-    "DivergenceWarning",
-    "InsufficientDecayWarning",
 ]
 
 
@@ -28,20 +27,10 @@ class TruncationError(RuntimeError):
 class LineListError(RuntimeError):
     """Raised when a line list misses its accuracy target: the first T = 0
     weight underflows, the list needs more levels than the cap allows, or
-    a thermal list fails its first-moment check."""
+    a thermal list overflows in its sweep or fails its first-moment check."""
 
 
 class OracleError(RuntimeError):
     """Raised when a truncated-basis reference fails a consistency check
     that no basis size can repair: the assembled Hamiltonian is not
     Hermitian, or an expectation value keeps an imaginary residue."""
-
-
-class DivergenceWarning(UserWarning):
-    """The generating function was evaluated outside the disk where its
-    Taylor series converges; the closed form is returned regardless."""
-
-
-class InsufficientDecayWarning(UserWarning):
-    """A damped spectral window was cut off before the correlation had
-    decayed enough for reliable line shapes."""

@@ -24,8 +24,8 @@ __all__ = [
     "time_coeffs",
 ]
 
-# Below this |gamma_minus| the surfaces are treated as sharing one frequency
-# and spectrum/evolution dispatch uses the displaced-mode limit.
+# Below this |gamma_minus| the surfaces are treated as sharing one frequency:
+# overlap, phonon_number and correlation take the displaced-mode closed form.
 GAMMA_LINEAR_THRESHOLD = 1e-9
 
 
@@ -194,8 +194,6 @@ class TimeCoeffs:
     is an array of the same shape.
     """
 
-    t: float | np.ndarray
-    lam_t: complex | np.ndarray
     d_tilde_prime: complex | np.ndarray
     q_tilde_prime: complex | np.ndarray
     lam_tilde_prime: complex | np.ndarray
@@ -222,8 +220,6 @@ def time_coeffs(c: Couplings, t) -> TimeCoeffs:
     lam_prime = c.lambda_e * c.gamma_minus * one_m_e2 + c.lambda_g * one_m_e1
     phase = np.exp(-1j * c.omega_e * t)
     return TimeCoeffs(
-        t=t,
-        lam_t=c.lambda_g * one_m_e1,
         d_tilde_prime=d_prime,
         q_tilde_prime=q_prime,
         lam_tilde_prime=lam_prime,

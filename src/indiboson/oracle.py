@@ -234,10 +234,14 @@ def excited_vacuum(c: Couplings, basis: TruncatedBasis) -> OracleState:
 
 
 def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> np.ndarray:
-    """Boltzmann weights (1-boltz)*boltz**p down to the 1e-12 floor."""
+    """Boltzmann weights (1-boltz)*boltz**p down to the 1e-12 floor; a
+    ground level below the floor means no basis holds the occupation."""
     boltz = th.boltzmann(c.omega_g)
     weights = []
     w = 1.0 - boltz
+    if w < _THERMAL_WEIGHT_FLOOR:
+        raise TruncationError(f"thermal occupation at beta={th.beta!r} puts even the "
+                              "ground level below the weight floor")
     while w >= _THERMAL_WEIGHT_FLOOR:
         weights.append(w)
         if len(weights) > basis.dim:
@@ -301,10 +305,9 @@ def franck_condon_weights(c: Couplings, basis: TruncatedBasis, count: int) -> np
     return weights
 
 
-def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
-                      floor: float = 1e-12):
+def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis):
     """Absorption lines (offset from the gap, weight) from eigenbasis
-    transition amplitudes, pruned below ``floor`` in units of 2*pi."""
+    transition amplitudes, pruned below 1e-12 in units of 2*pi."""
     from .analytic import SpectralLine
 
     weights = _thermal_weights(th, c, basis)
@@ -315,7 +318,7 @@ def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
         amps = prop.modes[p, :] ** 2
         for n in range(basis.dim):
             weight = w_p * amps[n]
-            if weight >= floor:
+            if weight >= _THERMAL_WEIGHT_FLOOR:
                 lines.append(
                     SpectralLine(
                         offset=float(evib[n] - c.omega_g * (p + 0.5)),

@@ -18,7 +18,6 @@ from indiboson.analytic import (
     correlation,
     excited_mean_energy,
     excited_phonon_number,
-    generating_function,
     overlap,
     overlap_linear,
     overlap_quadratic,
@@ -29,11 +28,12 @@ from indiboson.analytic import (
     vacuum_expansion_linear,
     vacuum_ground_phonon_number,
 )
-from indiboson.errors import DivergenceWarning, PoleError
+from indiboson.errors import PoleError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings, time_coeffs
 from indiboson.oracle import Propagator, TruncatedBasis, build_excited_hamiltonian
 
 import powerseries  # the tests' independent series reference
+from generating import generating_function  # the tests' K(x) reference
 
 T_ZERO = ThermalParams(math.inf)
 
@@ -322,7 +322,7 @@ def taylor_by_contour(c, t, order, radius=0.5, samples=64):
     """Taylor coefficients of the generating function by evaluating it on a
     circle and projecting with the FFT; independent of the series route."""
     ring = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-    values = np.array([generating_function(x, c, t) for x in ring])
+    values = generating_function(ring, c, t)
     return np.fft.fft(values)[: order + 1] / samples / radius ** np.arange(order + 1)
 
 
@@ -358,17 +358,6 @@ def test_generating_function_sums_its_own_series(mixed):
     coeffs = seq * np.exp(0.5j * mixed.omega_e * t) / d ** np.arange(41)
     total = np.sum(coeffs * x ** np.arange(41))
     assert total == pytest.approx(generating_function(x, mixed, t), abs=1e-10)
-
-
-def test_generating_function_pole_and_divergence_guards(mixed):
-    t = 0.35
-    tc = time_coeffs(mixed, t)
-    with pytest.raises(PoleError):
-        generating_function(1.0 - tc.q_tilde, mixed, t)
-    radius = min(abs(1.0 - tc.q_tilde), abs(1.0 + tc.q_tilde))
-    with pytest.warns(DivergenceWarning):
-        value = generating_function(1.05 * radius, mixed, t)
-    assert np.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +404,29 @@ def test_cold_correlation_is_vacuum_overlap_with_gap_phase(mixed):
         assert g == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("beta", [0.3, 1.0, 4.0, math.inf])
+def test_correlation_is_generating_function_at_thermal_argument(squeezed, mixed, beta):
+    # G(t) = (1 - e^{-beta omega_g}) e^{-i omega_eg t} e^{i(omega_g - omega_e)t/2} K(x)
+    # at x = e^{-beta omega_g} e^{i(omega_g - omega_e)t} d'
+    ts = np.linspace(0.0, 7.0, 57)
+    for c in (squeezed, mixed, make(omega_e=0.6, lam=1.3, eps_e=1.5)):
+        boltz = math.exp(-beta * c.omega_g)
+        half = np.exp(0.5j * (c.omega_g - c.omega_e) * ts)
+        x = boltz * half * half * time_coeffs(c, ts).d_tilde_prime
+        phases = np.exp(-1j * c.omega_eg * ts) * half
+        expect = (1.0 - boltz) * phases * generating_function(x, c, ts)
+        got = correlation(ThermalParams(beta), c, ts)
+        assert np.max(np.abs(got - expect)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
 def test_correlation_quadratic_near_infinite_temperature_hits_pole(mixed):
-    with pytest.raises(PoleError, match="thermal"):
-        correlation(ThermalParams(1e-13), mixed, [0.0])
+    # 1 - e^{-beta omega_g} below the pole tolerance is refused on any time
+    # grid, not only where t = 0 puts the thermal argument on the pole
+    for beta in (1e-13, 1e-17):
+        for ts in ([0.0], [1.0, 1.3]):
+            with pytest.raises(PoleError, match="thermal"):
+                correlation(ThermalParams(beta), mixed, ts)
 
 
 @given(ratio=ratios, lam=lambdas, t=times, beta=st.floats(0.2, 5.0))

@@ -124,7 +124,6 @@ def test_coefficients_start_exactly_at_identity(displaced, squeezed, mixed):
         assert tc.d_tilde_prime == 1.0 + 0.0j
         assert tc.q_tilde_prime == 0.0 + 0.0j
         assert tc.lam_tilde_prime == 0.0 + 0.0j
-        assert tc.lam_t == 0.0 + 0.0j
         assert tc.d_tilde == 1.0 + 0.0j
 
 
@@ -151,7 +150,7 @@ def test_frozen_time_coefficient_values():
     assert tc.d_tilde_prime == pytest.approx(1.25, abs=1e-14)
     # equal frequencies, half period: the displacement doubles
     lin = make(omega_g=1.0, omega_e=1.0, lam=1.0)
-    assert time_coeffs(lin, math.pi).lam_t == pytest.approx(
+    assert time_coeffs(lin, math.pi).lam_tilde_prime == pytest.approx(
         2.0, abs=1e-14
     )
 

@@ -335,6 +335,18 @@ def test_thermal_weights_overflow_small_basis():
         thermal_correlation(ThermalParams(0.01), c, TruncatedBasis(32), [0.0])
 
 
+def test_thermal_weights_refuse_a_ground_level_below_the_floor():
+    # at beta*omega_g = 1e-13 even the ground weight 1 - e^{-beta omega_g}
+    # is below 1e-12: no level is kept, which would give G(0) = 0 and an
+    # empty line list instead of a refusal
+    c = make(omega_e=2.0, lam=1.0)
+    th = ThermalParams(1e-13)
+    with pytest.raises(TruncationError, match="ground level"):
+        thermal_correlation(th, c, TruncatedBasis(64), [0.0])
+    with pytest.raises(TruncationError, match="ground level"):
+        thermal_line_list(th, c, TruncatedBasis(64))
+
+
 def test_franck_condon_weights_are_poisson_for_pure_displacement():
     c = make(lam=1.0)
     w = franck_condon_weights(c, TruncatedBasis(64), 12)
