@@ -9,8 +9,11 @@ spectrum     zero-temperature line list or windowed thermal spectrum
 validate     closed forms against the truncated-basis reference
 
 Configuration is a flat ``key = value`` text file; ``--preset`` loads a
-built-in setup and explicit flags override both. Output is deterministic
-(no timestamps, fixed key order, floats at full precision) so reruns are
+built-in setup and explicit flags override both. :func:`main` is the one
+pipeline: it loads the config, derives the couplings, asks the table
+command for its ``(meta, columns)`` and renders them as CSV or JSON.
+``validate`` prints its text report instead. Output is deterministic (no
+timestamps, fixed key order, floats at full precision) so reruns are
 byte-identical.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
@@ -41,7 +44,7 @@ from .analytic import (
     windowed_spectrum,
 )
 from .errors import ConfigError, LineListError, OracleError, PoleError, TruncationError
-from .model import ModelParams, ThermalParams, derive_couplings
+from .model import Couplings, ModelParams, ThermalParams, derive_couplings
 from .oracle import (
     OracleState,
     Propagator,
@@ -122,8 +125,9 @@ class RunConfig:
 
     ``thermal_dim`` is the basis size of the thermal oracle comparisons
     (``correlation --oracle``, finite-T ``spectrum --oracle`` and the thermal
-    row of ``validate``): ``oracle_dim`` when ``--oracle-dim`` pins it, else
-    at least :data:`~indiboson.validation.THERMAL_ORACLE_DIM`.
+    row of ``validate``): ``oracle_dim`` when an ``oracle_dim`` key (from
+    ``--oracle-dim`` or a config file) pins it, else
+    :data:`~indiboson.validation.THERMAL_ORACLE_DIM`.
     """
 
     params: ModelParams
@@ -166,9 +170,8 @@ class RunConfig:
         }
 
 
-def build_run_config(raw: dict, dim_overridden: bool = False) -> RunConfig:
-    """Resolve a flat mapping (strings or numbers) into a RunConfig;
-    ``dim_overridden`` says that ``--oracle-dim`` pinned the basis size."""
+def build_run_config(raw: dict) -> RunConfig:
+    """Resolve a flat mapping (strings or numbers) into a RunConfig."""
     for key in raw:
         if key not in _ALL_KEYS:
             raise ConfigError(f"unknown key {key!r}")
@@ -230,7 +233,7 @@ def build_run_config(raw: dict, dim_overridden: bool = False) -> RunConfig:
         w_grid=(w_min, w_max, w_points),
         eta=eta,
         oracle_dim=oracle_dim,
-        thermal_dim=oracle_dim if dim_overridden else max(oracle_dim, THERMAL_ORACLE_DIM),
+        thermal_dim=_as_int(raw, "oracle_dim", THERMAL_ORACLE_DIM),
         fmt=fmt,
         out=str(out) if out is not None else None,
     )
@@ -240,13 +243,23 @@ def build_run_config(raw: dict, dim_overridden: bool = False) -> RunConfig:
 # output rendering
 
 
-def _fmt_cell(value) -> str:
+def _plain(value):
+    """One cell or meta value as a plain bool, int, float or str."""
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return bool(value)
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return int(value)
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return float(value)
+    return str(value)
+
+
+def _fmt_cell(value) -> str:
+    value = _plain(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
     text = str(value)
     if any(ch in text for ch in (",", '"', "\n")):
         text = '"' + text.replace('"', '""') + '"'
@@ -263,28 +276,19 @@ def render_csv(meta: dict, columns: dict) -> str:
 
 
 def render_json(meta: dict, columns: dict) -> str:
-    def clean(value):
-        if isinstance(value, (bool, np.bool_)):
-            return bool(value)
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        if isinstance(value, (float, np.floating)):
-            return float(value)
-        return str(value)
-
     payload = {
-        "meta": {k: clean(v) for k, v in meta.items()},
-        "data": {k: [clean(v) for v in vs] for k, vs in columns.items()},
+        "meta": {k: _plain(v) for k, v in meta.items()},
+        "data": {k: [_plain(v) for v in vs] for k, vs in columns.items()},
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(fmt: str, out: str | None, meta: dict, columns: dict):
-    text = render_csv(meta, columns) if fmt == "csv" else render_json(meta, columns)
-    if out is None:
+def _emit(cfg: RunConfig, meta: dict, columns: dict):
+    text = (render_csv if cfg.fmt == "csv" else render_json)(meta, columns)
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(cfg.out).write_text(text)
 
 
 def _meta(command: str, cfg: RunConfig) -> dict:
@@ -305,27 +309,17 @@ def _load_config(args, required: bool = True) -> RunConfig:
         if required:
             raise ConfigError("a --preset or --config is required")
         raw = {"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 0.0}
-    if args.beta is not None:
-        raw["beta"] = args.beta
-    if args.eta is not None:
-        raw["eta"] = args.eta
-    if args.format is not None:
-        raw["format"] = args.format
-    if args.out is not None:
-        raw["out"] = args.out
-    dim_overridden = args.oracle_dim is not None
-    if dim_overridden:
-        raw["oracle_dim"] = args.oracle_dim
-    return build_run_config(raw, dim_overridden=dim_overridden)
+    for key in ("beta", "eta", "format", "out", "oracle_dim"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    return build_run_config(raw)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each table command returns (meta, columns), where meta holds
+# only the entries it adds to the common header of _meta
 
-
-def cmd_couplings(args) -> int:
-    cfg = _load_config(args)
-    c = derive_couplings(cfg.params)
+def cmd_couplings(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
     quantities = {
         "omega_g": c.omega_g,
         "omega_e": c.omega_e,
@@ -340,14 +334,10 @@ def cmd_couplings(args) -> int:
         "huang_rhys": c.huang_rhys,
         "vacuum_phonons": vacuum_ground_phonon_number(c),
     }
-    columns = {"quantity": list(quantities), "value": list(quantities.values())}
-    _emit(cfg.fmt, cfg.out, _meta("couplings", cfg), columns)
-    return 0
+    return {}, {"quantity": list(quantities), "value": list(quantities.values())}
 
 
-def cmd_evolve(args) -> int:
-    cfg = _load_config(args)
-    c = derive_couplings(cfg.params)
+def cmd_evolve(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
     ts = cfg.times()
     p0 = cfg.initial_p
     columns = {
@@ -357,7 +347,7 @@ def cmd_evolve(args) -> int:
     }
     if c.equal_frequencies:  # the excited-mode occupation is conserved
         columns["excited_phonons"] = [excited_phonon_number(p0, c)] * ts.size
-    if args.oracle:
+    if oracle:
         basis = TruncatedBasis(cfg.oracle_dim)
         prop = Propagator(build_excited_hamiltonian(c, basis), basis)
         ref = prop.return_amplitude(p0, ts, energy_offset=c.epsilon_e)
@@ -367,34 +357,28 @@ def cmd_evolve(args) -> int:
         columns["oracle_ground_phonons"] = [
             observable(prop.evolve(state, t), num_op) for t in ts
         ]
-    _emit(cfg.fmt, cfg.out, _meta("evolve", cfg), columns)
-    return 0
+    return {}, columns
 
 
-def cmd_correlation(args) -> int:
-    cfg = _load_config(args)
-    c = derive_couplings(cfg.params)
+def cmd_correlation(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
     ts = cfg.times()
     g = correlation(cfg.thermal, c, ts)
-    meta = _meta("correlation", cfg)
     columns = {
         "t": list(ts),
         "g_real": list(g.real),
         "g_imag": list(g.imag),
         "g_abs_sq": list(np.abs(g) ** 2),
     }
-    if args.oracle:
+    meta = {}
+    if oracle:
         ref = thermal_correlation(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim), ts)
         columns["oracle_g_real"] = list(ref.real)
         columns["oracle_g_imag"] = list(ref.imag)
         meta["oracle_dim"] = cfg.thermal_dim
-    _emit(cfg.fmt, cfg.out, meta, columns)
-    return 0
+    return meta, columns
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
-    c = derive_couplings(cfg.params)
+def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
     if cfg.thermal.is_zero_temperature:
         lines = spectrum_zero_T(c)
         columns = {
@@ -404,33 +388,29 @@ def cmd_spectrum(args) -> int:
             "weight": [ln.weight for ln in lines],
             "weight_over_2pi": [ln.weight / (2.0 * math.pi) for ln in lines],
         }
-        if args.oracle:
+        if oracle:
             ref = franck_condon_weights(c, TruncatedBasis(cfg.oracle_dim), len(lines))
             columns["oracle_weight"] = list(ref)
-        _emit(cfg.fmt, cfg.out, _meta("spectrum", cfg), columns)
-        return 0
+        return {}, columns
     w = cfg.freqs()
     t_max = WINDOW_DECAY / cfg.eta
     offsets, weights, residual = thermal_lines(cfg.thermal, c)
-    meta = _meta("spectrum", cfg)
-    meta.update(lines=offsets.size, moment_residual=residual)
+    meta = {"lines": offsets.size, "moment_residual": residual}
     columns = {
         "w": list(w),
         "offset": list(w - c.omega_eg),
         "absorption": list(windowed_spectrum(offsets, weights, w - c.omega_eg, cfg.eta, t_max)),
     }
-    if args.oracle:
+    if oracle:
         ref = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim))
         columns["oracle_absorption"] = list(
             window_broadened(w - c.omega_eg, ref, cfg.eta, t_max)
         )
         meta["oracle_dim"] = cfg.thermal_dim
-    _emit(cfg.fmt, cfg.out, meta, columns)
-    return 0
+    return meta, columns
 
 
-def cmd_validate(args) -> int:
-    cfg = _load_config(args, required=False)
+def cmd_validate(args, cfg: RunConfig) -> int:
     specs = []
     if args.preset or args.config:
         label = args.preset if (args.preset and not args.config) else "config"
@@ -447,12 +427,20 @@ def cmd_validate(args) -> int:
         meta = {"tool": "indiboson", "version": __version__, "command": "validate",
                 "oracle_dim": report.oracle_dim, "thermal_dim": report.thermal_dim,
                 "overall": "pass" if report.all_passed else "fail"}
-        _emit(cfg.fmt, cfg.out, meta, report.columns())
+        _emit(cfg, meta, report.columns())
     return 0 if report.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
 # parser and entry point
+
+_COMMANDS = (
+    ("couplings", cmd_couplings, "derived coupling table"),
+    ("evolve", cmd_evolve, "overlap and phonon numbers on the time grid"),
+    ("correlation", cmd_correlation, "thermal dipole correlation samples"),
+    ("spectrum", cmd_spectrum, "line list (T = 0) or windowed spectrum"),
+    ("validate", cmd_validate, "closed forms vs the truncated basis"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser):
+    for name, command, help_text in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="flat 'key = value' config file")
         sp.add_argument("--preset", help="built-in setup: " + ", ".join(preset_names()))
         sp.add_argument("--beta", help="inverse temperature override ('inf' for T = 0)")
@@ -475,40 +463,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "comparisons use at least 256 unless this is given)")
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
         sp.add_argument("--out", help="output file (default stdout)")
-
-    sp = sub.add_parser("couplings", help="derived coupling table")
-    common(sp)
-    sp.set_defaults(func=cmd_couplings)
-
-    sp = sub.add_parser("evolve", help="overlap and phonon numbers on the time grid")
-    common(sp)
-    sp.add_argument("--oracle", action="store_true",
-                    help="add truncated-basis reference columns")
-    sp.set_defaults(func=cmd_evolve)
-
-    sp = sub.add_parser("correlation", help="thermal dipole correlation samples")
-    common(sp)
-    sp.add_argument("--oracle", action="store_true",
-                    help="add truncated-basis reference columns")
-    sp.set_defaults(func=cmd_correlation)
-
-    sp = sub.add_parser("spectrum", help="line list (T = 0) or windowed spectrum")
-    common(sp)
-    sp.add_argument("--oracle", action="store_true",
-                    help="add truncated-basis reference columns")
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("validate", help="closed forms vs the truncated basis")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
-
+        sp.set_defaults(func=command, oracle=False)
+        if name not in ("couplings", "validate"):
+            sp.add_argument("--oracle", action="store_true",
+                            help="add truncated-basis reference columns")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args, required=args.command != "validate")
+        if args.command == "validate":
+            return cmd_validate(args, cfg)
+        meta, columns = args.func(cfg, derive_couplings(cfg.params), args.oracle)
+        _emit(cfg, {**_meta(args.command, cfg), **meta}, columns)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

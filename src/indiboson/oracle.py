@@ -128,16 +128,15 @@ def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 class Propagator:
     """Eigendecomposition-backed propagator for a fixed Hamiltonian."""
 
-    def __init__(self, hamiltonian: np.ndarray, basis: TruncatedBasis | None = None):
-        hamiltonian = np.asarray(hamiltonian, dtype=float)
-        self.basis = basis if basis is not None else TruncatedBasis(len(hamiltonian))
-        self.energies, self.modes = np.linalg.eigh(hamiltonian)
+    def __init__(self, hamiltonian: np.ndarray, basis: TruncatedBasis):
+        self.basis = basis
+        self.energies, self.modes = np.linalg.eigh(np.asarray(hamiltonian, dtype=float))
 
-    def evolve(self, state: OracleState, t: float, check_buffer: bool = True) -> OracleState:
+    def evolve(self, state: OracleState, t: float) -> OracleState:
         phases = np.exp(-1j * self.energies * t)
         amps = _real_matvec(self.modes, phases * _real_matvec(self.modes.T, state.amplitudes))
         out = OracleState(amps, self.basis)
-        if check_buffer and out.buffer_population > BUFFER_TOL:
+        if out.buffer_population > BUFFER_TOL:
             raise TruncationError(
                 f"evolved state puts {out.buffer_population:.3e} of its weight in "
                 f"the truncation buffer (dim={self.basis.dim}); increase the basis"
@@ -145,7 +144,13 @@ class Propagator:
         return out
 
     def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
-        """<p| e^{-i (H - energy_offset) t} |p> sampled on ts."""
+        """<p| e^{-i (H - energy_offset) t} |p> sampled on ts; a level in
+        the truncation buffer has no trustworthy amplitude."""
+        if p < 0:
+            raise ValueError(f"p must be >= 0, got {p}")
+        if p >= self.basis.buffer_start:
+            raise TruncationError(f"level p={p} lies in the truncation buffer "
+                                  f"(dim={self.basis.dim}); increase the basis")
         ts = np.asarray(ts, dtype=float)
         weights = self.modes[p, :] ** 2
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))

@@ -42,8 +42,8 @@ __all__ = ["THERMAL_ORACLE_DIM", "ValidationRow", "ValidationReport", "run_valid
 
 # Thermal comparisons need the deeper basis: Boltzmann tails at the preset
 # temperatures reach p ~ 54 and a 128-level basis contaminates the sum at
-# the 3e-6 level, above the 1e-6 contract. The command line uses at least
-# this many levels for every thermal oracle unless --oracle-dim pins it.
+# the 3e-6 level, above the 1e-6 contract. Every thermal oracle of the
+# command line uses this many levels unless an oracle_dim key pins them.
 THERMAL_ORACLE_DIM = 256
 
 
@@ -220,8 +220,12 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
 
     guarded("thermal_correlation", 1e-6, thermal)
 
+    @cache
+    def zero_T_lines():  # one line list per parameter set, like oracle()
+        return spectrum_zero_T(c)
+
     def lines():
-        lst = spectrum_zero_T(c)
+        lst = zero_T_lines()
         count = min(len(lst), basis.buffer_start)
         ref = franck_condon_weights(c, basis, count)
         wts = np.array([ln.weight for ln in lst[:count]])
@@ -233,7 +237,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     guarded("line_weights", 1e-8, lines)
 
     def sum_rule():
-        total = sum(ln.weight for ln in spectrum_zero_T(c))
+        total = sum(ln.weight for ln in zero_T_lines())
         return total, 2.0 * math.pi, abs(total - 2.0 * math.pi), ""
 
     guarded("line_sum_rule", 1e-9, sum_rule)
@@ -241,8 +245,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     return rows
 
 
-def run_validation(specs, oracle_dim: int = 128,
-                   thermal_dim: int = THERMAL_ORACLE_DIM) -> ValidationReport:
+def run_validation(specs, oracle_dim: int, thermal_dim: int) -> ValidationReport:
     """Run the full battery for each (label, params, beta, initial_p) spec.
 
     ``oracle_dim`` is used everywhere except the thermal row, which uses

@@ -14,7 +14,8 @@ import pytest
 import indiboson
 from indiboson import cli, validation
 from indiboson.cli import build_run_config, main, parse_config_text
-from indiboson.errors import ConfigError, OracleError
+from indiboson.analytic import spectrum_zero_T
+from indiboson.errors import ConfigError, LineListError, OracleError
 
 SAMPLE = """\
 # sample setup
@@ -99,12 +100,11 @@ def test_build_run_config_defaults():
     assert cfg.oracle_dim == 128
     assert cfg.fmt == "csv"
     assert cfg.initial_p == 0
-    # thermal comparisons take at least 256 levels unless --oracle-dim pins them
+    # thermal comparisons take 256 levels unless an oracle_dim key pins them
     assert cfg.thermal_dim == 256
     raw = {"omega_g": 1.0, "omega_e": 2.0, "lambda_g": 1.0, "oracle_dim": 64}
-    assert build_run_config(raw).thermal_dim == 256
-    assert build_run_config(raw, dim_overridden=True).thermal_dim == 64
-    assert build_run_config(dict(raw, oracle_dim=300)).thermal_dim == 300
+    assert (build_run_config(raw).oracle_dim, build_run_config(raw).thermal_dim) == (64, 64)
+    assert build_run_config(dict(raw, oracle_dim="300")).thermal_dim == 300
 
 
 def test_cli_imports_without_scipy():
@@ -246,6 +246,34 @@ def test_thermal_oracle_defaults_to_the_validate_dimension(capsys):
     )
     assert code == 3
     assert "increase the basis" in err
+
+
+def test_config_file_oracle_dim_pins_the_thermal_basis(tmp_path, capsys):
+    # one rule: an oracle_dim key pins every comparison, whether it came
+    # from --oracle-dim or from a config file
+    cfg = tmp_path / "dim.cfg"
+    cfg.write_text("oracle_dim = 128\n")
+    args = ["correlation", "--preset", "fig2-both", "--oracle"]
+    by_file = run(args + ["--config", str(cfg)], capsys)
+    by_flag = run(args + ["--oracle-dim", "128"], capsys)
+    assert by_file == by_flag
+    code, out, err = by_file
+    assert code == 3
+    assert out == ""
+    assert "increase the basis" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["couplings", "evolve", "correlation", "spectrum",
+                                     "validate"])
+def test_oracle_flag_only_on_table_commands_with_references(command):
+    parser = cli.build_parser()
+    if command in ("couplings", "validate"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--oracle"])
+        assert exc.value.code == 2
+    else:
+        assert parser.parse_args([command, "--oracle"]).oracle is True
+        assert parser.parse_args([command]).oracle is False
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -393,6 +421,34 @@ def test_oracle_failure_is_a_numerical_error(monkeypatch, capsys, name, message)
     assert err == f"numerical error: {message}\n"
 
 
+@pytest.fixture
+def buffer_level_config(tmp_path):
+    # initial_p = 3 is past the buffer start (2) of a 3-level basis
+    cfg = tmp_path / "buffer.cfg"
+    cfg.write_text("omega_g = 1\nomega_e = 1.7\nlambda_g = 0.5\ninitial_p = 3\n")
+    return str(cfg)
+
+
+def test_evolve_oracle_refuses_a_level_in_the_buffer(buffer_level_config, capsys):
+    code, out, err = run(["evolve", "--config", buffer_level_config, "--oracle",
+                          "--oracle-dim", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error: level p=3 lies in the truncation buffer")
+    assert "increase the basis" in err and err.count("\n") == 1
+
+
+def test_validate_reports_a_level_in_the_buffer_as_failed(buffer_level_config, capsys):
+    code, out, err = run(["validate", "--config", buffer_level_config,
+                          "--oracle-dim", "3"], capsys)
+    assert code == 1
+    assert err == ""
+    row = next(line for line in out.splitlines()
+               if line.startswith("return_amplitude") and " config " in line)
+    assert "FAIL" in row and "TruncationError: level p=3" in row
+    assert out.splitlines()[-1].startswith("overall: FAIL")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -420,22 +476,38 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
+    listed = []
+
+    def counting_lines(c):
+        listed.append(1)
+        return spectrum_zero_T(c)
+
     monkeypatch.setattr(validation, "Propagator", Counting)
+    monkeypatch.setattr(validation, "spectrum_zero_T", counting_lines)
     specs = [("a", build_run_config({"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 1.0}).params,
               1.0, 0)]
-    report = validation.run_validation(specs, oracle_dim=64)
+    report = validation.run_validation(specs, oracle_dim=64, thermal_dim=256)
     assert report.all_passed
-    assert len(built) == 1
+    assert len(built) == len(listed) == 1
 
     def broken(c, basis):
         raise OracleError("assembled Hamiltonian is not Hermitian")
 
     monkeypatch.setattr(validation, "build_excited_hamiltonian", broken)
-    rows = validation.run_validation(specs, oracle_dim=64).rows
+    rows = validation.run_validation(specs, oracle_dim=64, thermal_dim=256).rows
     failed = {r.check for r in rows if not r.passed}
     assert failed == {"eigenvalue_ladder", "return_amplitude", "phonon_number",
                       "excited_energy"}
     assert all("not Hermitian" in r.note for r in rows if not r.passed)
+
+    def no_lines(c):
+        raise LineListError("sum rule missed")
+
+    # the shared T = 0 line list still fails each row that uses it
+    monkeypatch.setattr(validation, "spectrum_zero_T", no_lines)
+    rows = validation.run_validation(specs, oracle_dim=64, thermal_dim=256).rows
+    missed = {r.check for r in rows if "sum rule missed" in r.note and not r.passed}
+    assert missed == {"line_weights", "line_sum_rule"}
 
 
 def test_validate_fails_on_undersized_basis(tmp_path, capsys):

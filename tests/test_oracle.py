@@ -16,6 +16,7 @@ from indiboson.cli import main
 from indiboson.errors import TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
 from indiboson.oracle import (
+    BUFFER_TOL,
     OracleState,
     Propagator,
     TruncatedBasis,
@@ -27,6 +28,7 @@ from indiboson.oracle import (
     thermal_correlation,
     thermal_line_list,
     window_broadened,
+    _real_matvec,
 )
 
 
@@ -66,7 +68,8 @@ def test_eigenvalues_form_excited_ladder():
     # interior eigenvalues must be eps_e + omega_e*(n + 1/2) despite the
     # Hamiltonian being assembled in the ground basis
     c = make(omega_e=2.0, lam=1.0, eps_e=0.3)
-    prop = Propagator(build_excited_hamiltonian(c, TruncatedBasis(96)))
+    basis = TruncatedBasis(96)
+    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
     expect = 0.3 + 2.0 * (np.arange(24) + 0.5)
     assert np.max(np.abs(prop.energies[:24] - expect)) < 1e-9
 
@@ -110,6 +113,18 @@ def test_return_amplitude_agrees_with_explicit_evolution():
         state = Propagator(h, basis).evolve(OracleState.number_state(basis, 2), t)
         direct = state.amplitudes[2] * np.exp(1j * c.epsilon_e * t)
         assert amp[k] == pytest.approx(direct, abs=1e-12)
+
+
+def test_return_amplitude_refuses_levels_outside_the_trusted_basis():
+    c = make(omega_e=1.7, lam=0.5)
+    basis = TruncatedBasis(16)  # buffer starts at level 14
+    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
+    assert prop.return_amplitude(13, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
+    for p in (14, 15, 16):
+        with pytest.raises(TruncationError, match=f"level p={p} .* increase the basis"):
+            prop.return_amplitude(p, [0.0])
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        prop.return_amplitude(-1, [0.0])
 
 
 def test_buffer_contamination_raises():
@@ -235,6 +250,13 @@ def _random_state(basis, seed):
     return amps / np.linalg.norm(amps)
 
 
+def _eigenbasis_product(prop, a, t):
+    """The real eigenbasis product behind Propagator.evolve, without its
+    buffer guard: a random state always fills the buffer."""
+    phases = np.exp(-1j * prop.energies * t)
+    return _real_matvec(prop.modes, phases * _real_matvec(prop.modes.T, a))
+
+
 @pytest.mark.parametrize("dim", [64, 256])
 @pytest.mark.parametrize("setup", ["displaced", "squeezed", "mixed"])
 def test_real_arithmetic_equals_complex_promotion(setup, dim, request):
@@ -251,8 +273,11 @@ def test_real_arithmetic_equals_complex_promotion(setup, dim, request):
         for t in (0.0, 0.37, 2.9, 11.0):
             phases = np.exp(-1j * prop.energies * t)
             expect = modes @ (phases * (modes.T @ a))
-            got = prop.evolve(OracleState(a, basis), t, check_buffer=False).amplitudes
+            got = _eigenbasis_product(prop, a, t)
             assert np.max(np.abs(got - expect)) <= 1e-13
+            if OracleState(got, basis).buffer_population <= BUFFER_TOL:
+                evolved = prop.evolve(OracleState(a, basis), t).amplitudes
+                assert np.array_equal(evolved, got)
             for op in ops:
                 ref = complex(np.vdot(got, op.astype(complex) @ got)).real
                 value = observable(OracleState(got, basis), op)
@@ -264,7 +289,7 @@ def test_real_arithmetic_accepts_any_complex_vector(mixed):
     prop = Propagator(build_excited_hamiltonian(mixed, basis), basis)
     a = _random_state(basis, 7)
     num = np.diag(np.arange(64.0))
-    expect = prop.evolve(OracleState(a, basis), 1.3, check_buffer=False).amplitudes
+    expect = _eigenbasis_product(prop, a, 1.3)
     ref = observable(OracleState(a, basis), num)
 
     strided = np.zeros(3 * basis.dim, dtype=complex)
@@ -280,7 +305,7 @@ def test_real_arithmetic_accepts_any_complex_vector(mixed):
     for name, view in views.items():
         assert np.array_equal(view, a), name
         state = OracleState(view, basis)
-        got = prop.evolve(state, 1.3, check_buffer=False).amplitudes
+        got = _eigenbasis_product(prop, state.amplitudes, 1.3)
         assert np.max(np.abs(got - expect)) <= 1e-15, name
         assert observable(state, num) == pytest.approx(ref, abs=1e-13), name
         assert np.array_equal(view, a), name  # the input is never written
