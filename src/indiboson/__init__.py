@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .analytic import (
     OverlapValue,
-    SpectralLine,
     correlation,
     excited_mean_energy,
     excited_phonon_number,
@@ -21,11 +20,9 @@ from .analytic import (
     phonon_number,
     phonon_number_linear,
     phonon_number_quadratic,
-    polaron_state_check,
     spectrum_finite_T,
     spectrum_zero_T,
     thermal_lines,
-    vacuum_expansion_linear,
     vacuum_ground_phonon_number,
     windowed_spectrum,
 )
@@ -48,7 +45,6 @@ from .model import (
 __all__ = [
     "__version__",
     "OverlapValue",
-    "SpectralLine",
     "Couplings",
     "ModelParams",
     "ThermalParams",
@@ -68,12 +64,10 @@ __all__ = [
     "phonon_number",
     "phonon_number_linear",
     "phonon_number_quadratic",
-    "polaron_state_check",
     "spectrum_finite_T",
     "spectrum_zero_T",
     "thermal_lines",
     "time_coeffs",
-    "vacuum_expansion_linear",
     "vacuum_ground_phonon_number",
     "windowed_spectrum",
 ]

@@ -27,11 +27,9 @@ from .specfun import laguerre_half_at_zero, laguerre_half_seq, laguerre_seq
 __all__ = [
     "WINDOW_DECAY",
     "OverlapValue",
-    "SpectralLine",
     "overlap",
     "phonon_number",
     "correlation",
-    "vacuum_expansion_linear",
     "vacuum_ground_phonon_number",
     "phonon_number_linear",
     "phonon_number_quadratic",
@@ -43,7 +41,6 @@ __all__ = [
     "thermal_lines",
     "windowed_spectrum",
     "spectrum_finite_T",
-    "polaron_state_check",
 ]
 
 # Distance below which the thermal generating-function argument counts as
@@ -69,12 +66,12 @@ _BLOCK = 256  # lines per block of the windowed sum
 
 def _check_magnitude(name: str, value):
     """Reject a return amplitude or correlation (scalar or array) whose
-    magnitude exceeds 1 beyond roundoff."""
+    magnitude exceeds 1 beyond roundoff, or is NaN."""
     peak = abs(value)
     if isinstance(peak, np.ndarray):
         peak = peak.max(initial=0.0)
-    if peak > 1.0 + 1e-6:
-        raise ValueError(f"{name} magnitude {float(peak)!r} exceeds 1 beyond tolerance")
+    if not peak <= 1.0 + 1e-6:  # a NaN fails too
+        raise ValueError(f"{name} magnitude {float(peak)!r} is not within 1 + 1e-6")
 
 
 @dataclass(frozen=True)
@@ -100,14 +97,6 @@ def _overlap_value(p: int, t, value) -> OverlapValue:
     return OverlapValue(p=p, t=float(t), value=complex(value))
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    """One absorption line: offset is measured from the electronic gap."""
-
-    offset: float
-    weight: float
-
-
 def _require_equal_frequencies(c: Couplings, op: str):
     if not c.equal_frequencies:
         raise ValueError(
@@ -124,22 +113,6 @@ def _require_order(p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # stationary quantities
-
-
-def vacuum_expansion_linear(lam: float, p_max: int) -> np.ndarray:
-    """Ground-basis number-state coefficients of the displaced vacuum.
-
-    Coefficient p is exp(-lam**2/2) * lam**p / sqrt(p!); the squared
-    coefficients form the Poisson distribution with mean lam**2.
-    """
-    p_max = _require_order(p_max)
-    out = np.empty(p_max + 1)
-    amp = math.exp(-0.5 * lam * lam)
-    out[0] = amp
-    for p in range(1, p_max + 1):
-        amp *= lam / math.sqrt(p)
-        out[p] = amp
-    return out
 
 
 def vacuum_ground_phonon_number(c: Couplings) -> float:
@@ -369,7 +342,13 @@ def _franck_condon_rows(c: Couplings, cols: int):
         prev, row = row, nxt
 
 
-def spectrum_zero_T(c: Couplings) -> list[SpectralLine]:
+def _line_list(offsets, weights) -> np.recarray:
+    """A line list: a record array of offsets from the gap and weights,
+    read as columns (``lines.offset``) or line by line."""
+    return np.rec.fromarrays([offsets, weights], names="offset,weight")
+
+
+def spectrum_zero_T(c: Couplings) -> np.recarray:
     """Zero-temperature absorption line list.
 
     Line n sits at offset (omega_e - omega_g)/2 + n*omega_e from the gap
@@ -380,8 +359,7 @@ def spectrum_zero_T(c: Couplings) -> list[SpectralLine]:
     :class:`LineListError`.
     """
     target = 2.0 * math.pi * (1.0 - _SUM_RULE_TAIL)
-    offset0 = 0.5 * (c.omega_e - c.omega_g)
-    lines: list[SpectralLine] = []
+    weights: list[float] = []
     total = 0.0
     for n, row in enumerate(itertools.islice(_franck_condon_rows(c, 1), _LINE_CAP)):
         w = float(row[0] * row[0])
@@ -390,15 +368,16 @@ def spectrum_zero_T(c: Couplings) -> list[SpectralLine]:
             # vanish by underflow (exp(-S) for S beyond ~745)
             raise LineListError("spectral weight 0 underflows to zero, so the line list "
                                 "cannot reach the sum rule")
-        lines.append(SpectralLine(offset=offset0 + n * c.omega_e, weight=w))
+        weights.append(w)
         total += w
         if total >= target:
-            return lines
+            offsets = 0.5 * (c.omega_e - c.omega_g) + np.arange(n + 1) * c.omega_e
+            return _line_list(offsets, weights)
     raise LineListError(f"line list did not reach the sum rule within {_LINE_CAP} lines")
 
 
-def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.ndarray, np.ndarray, float]:
-    """Thermal absorption lines as (offsets, weights, moment_residual):
+def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.recarray, float]:
+    """Thermal absorption lines as (lines, moment_residual): a line list of
     distinct offsets from the gap, ascending, with their summed weights.
 
     Ground level p, of Boltzmann weight w_p = (1 - e^{-beta omega_g})
@@ -449,10 +428,10 @@ def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.ndarray, np.ndarr
     offsets = 0.5 * (c.omega_e - c.omega_g) + c.omega_e * n[:, None] - c.omega_g * p
     keep = weights >= _LINE_FLOOR * weights.sum()
     offsets, where = np.unique(offsets[keep], return_inverse=True)
-    return offsets, np.bincount(where, weights=weights[keep]), residual
+    return _line_list(offsets, np.bincount(where, weights=weights[keep])), residual
 
 
-def windowed_spectrum(offsets, weights, delta, eta: float, t_max: float) -> np.ndarray:
+def windowed_spectrum(lines, delta, eta: float, t_max: float) -> np.ndarray:
     """Lines through the finite damped window at offsets delta from the
     gap: sum over lines of weight/(2*pi) * 2*Re[(e^{sT} - 1)/s] with
     s = i(delta - offset) - eta, T = t_max, evaluated in real arithmetic as
@@ -464,6 +443,7 @@ def windowed_spectrum(offsets, weights, delta, eta: float, t_max: float) -> np.n
     d_col = delta.reshape(-1, 1)
     decay = math.exp(-eta * t_max)
     cos_d, sin_d = decay * np.cos(d_col * t_max), decay * np.sin(d_col * t_max)
+    offsets, weights = lines.offset, lines.weight
     out = np.zeros(delta.size)
     for start in range(0, offsets.size, _BLOCK):
         off = offsets[start : start + _BLOCK]
@@ -488,32 +468,4 @@ def spectrum_finite_T(th: ThermalParams, c: Couplings, w_grid,
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
     delta = np.asarray(w_grid, dtype=float) - c.omega_eg
-    return windowed_spectrum(*thermal_lines(th, c)[:2], delta, eta, WINDOW_DECAY / eta)
-
-
-# ---------------------------------------------------------------------------
-# consistency check for the displaced-mode identity
-
-
-def polaron_state_check(lam: float, p: int, dim: int = 60) -> float:
-    """Residual of the displaced-mode identity in a truncated basis.
-
-    Applying the displacement exp(lam*(b^dag - b)) to ground number state
-    p must equal building the p-th excited number state from the displaced
-    vacuum with the shifted creation operator (b^dag - lam)/sqrt(p!).
-    Returns the 2-norm of the difference; truncation noise only.
-    """
-    p = _require_order(p)
-    if dim < p + 2:
-        raise ValueError(f"dim must exceed p + 1, got dim={dim}, p={p}")
-    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    # exp(lam*(b^dag - b)) = exp(-i*g) for the Hermitian generator
-    # g = i*lam*(b^dag - b), exponentiated through its eigenbasis
-    energies, modes = np.linalg.eigh(1j * lam * (b.T - b))
-    displaced = modes @ (np.exp(-1j * energies) * modes[p].conj())
-    vec = vacuum_expansion_linear(lam, dim - 1)
-    shifted_create = b.T - lam * np.eye(dim)
-    for _ in range(p):
-        vec = shifted_create @ vec
-    vec = vec / math.sqrt(math.factorial(p))
-    return float(np.linalg.norm(displaced - vec))
+    return windowed_spectrum(thermal_lines(th, c)[0], delta, eta, WINDOW_DECAY / eta)

@@ -383,10 +383,10 @@ def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict
         lines = spectrum_zero_T(c)
         columns = {
             "n": list(range(len(lines))),
-            "offset": [ln.offset for ln in lines],
-            "w": [c.omega_eg + ln.offset for ln in lines],
-            "weight": [ln.weight for ln in lines],
-            "weight_over_2pi": [ln.weight / (2.0 * math.pi) for ln in lines],
+            "offset": list(lines.offset),
+            "w": list(c.omega_eg + lines.offset),
+            "weight": list(lines.weight),
+            "weight_over_2pi": list(lines.weight / (2.0 * math.pi)),
         }
         if oracle:
             ref = franck_condon_weights(c, TruncatedBasis(cfg.oracle_dim), len(lines))
@@ -394,12 +394,12 @@ def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict
         return {}, columns
     w = cfg.freqs()
     t_max = WINDOW_DECAY / cfg.eta
-    offsets, weights, residual = thermal_lines(cfg.thermal, c)
-    meta = {"lines": offsets.size, "moment_residual": residual}
+    lines, residual = thermal_lines(cfg.thermal, c)
+    meta = {"lines": lines.size, "moment_residual": residual}
     columns = {
         "w": list(w),
         "offset": list(w - c.omega_eg),
-        "absorption": list(windowed_spectrum(offsets, weights, w - c.omega_eg, cfg.eta, t_max)),
+        "absorption": list(windowed_spectrum(lines, w - c.omega_eg, cfg.eta, t_max)),
     }
     if oracle:
         ref = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim))
@@ -448,19 +448,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="indiboson",
         description="Exact dynamics and line shapes for a two-level emitter "
                     "coupled to one vibrational mode.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command, help_text in _COMMANDS:
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", help="flat 'key = value' config file")
         sp.add_argument("--preset", help="built-in setup: " + ", ".join(preset_names()))
         sp.add_argument("--beta", help="inverse temperature override ('inf' for T = 0)")
         sp.add_argument("--eta", type=float, help="spectral half-width override")
         sp.add_argument("--oracle-dim", dest="oracle_dim", type=int,
                         help="truncated-basis size (default 128; thermal "
-                             "comparisons use at least 256 unless this is given)")
+                             "comparisons use 256 unless this is given)")
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.set_defaults(func=command, oracle=False)

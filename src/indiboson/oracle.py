@@ -3,9 +3,10 @@
 Everything here is deliberately direct: assemble the excited-surface
 Hamiltonian as a dense matrix over ground-mode number states, diagonalize
 it once, and propagate exactly in the eigenbasis. The closed forms in
-:mod:`indiboson.analytic` are validated against these routines, so none
-of its formulas may be reused here (sharing its plain result containers
-is fine).
+:mod:`indiboson.analytic` are validated against these routines, so
+nothing is imported from it: no formula and no container. Line lists come
+back in the same shape on both sides, a numpy record array with fields
+``offset`` and ``weight``.
 
 The Hamiltonian is real symmetric, so its eigenbasis is real. Propagation
 and the expectation values of real operators stay in real arithmetic: a
@@ -310,27 +311,17 @@ def franck_condon_weights(c: Couplings, basis: TruncatedBasis, count: int) -> np
     return weights
 
 
-def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis):
-    """Absorption lines (offset from the gap, weight) from eigenbasis
-    transition amplitudes, pruned below 1e-12 in units of 2*pi."""
-    from .analytic import SpectralLine
-
+def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> np.recarray:
+    """Absorption lines from eigenbasis transition amplitudes, as a record
+    array of offsets from the gap and weights, ground level by ground
+    level, pruned below 1e-12 in units of 2*pi."""
     weights = _thermal_weights(th, c, basis)
     prop = Propagator(build_excited_hamiltonian(c, basis), basis)
     evib = prop.energies - c.epsilon_e
-    lines = []
-    for p, w_p in enumerate(weights):
-        amps = prop.modes[p, :] ** 2
-        for n in range(basis.dim):
-            weight = w_p * amps[n]
-            if weight >= _THERMAL_WEIGHT_FLOOR:
-                lines.append(
-                    SpectralLine(
-                        offset=float(evib[n] - c.omega_g * (p + 0.5)),
-                        weight=float(2.0 * np.pi * weight),
-                    )
-                )
-    return lines
+    line_w = weights[:, None] * prop.modes[: weights.size, :] ** 2
+    p, n = np.nonzero(line_w >= _THERMAL_WEIGHT_FLOOR)  # row-major: p, then n
+    return np.rec.fromarrays([evib[n] - c.omega_g * (p + 0.5), 2.0 * np.pi * line_w[p, n]],
+                             names="offset,weight")
 
 
 def window_broadened(w_offsets, lines, eta: float, t_max: float) -> np.ndarray:

@@ -5,7 +5,9 @@ numpy array of shape ``(order + 1,) + np.shape(x)``, so ``seq[p]`` is the
 order-p polynomial at every argument; it is real for real arguments and
 complex for complex ones. The three-term recurrences are numerically
 benign here because the closed forms only ever combine neighbouring orders
-of comparable magnitude. The values at x = 0 have a product form, which
+of comparable magnitude. Where they are not, a value overflows to inf or
+NaN without a floating-point warning, and the caller's magnitude check
+refuses it. The values at x = 0 have a product form, which
 ``laguerre_half_at_zero`` evaluates without a recurrence.
 """
 
@@ -28,8 +30,9 @@ def laguerre_seq(order: int, x):
     out[0] = 1.0
     if order >= 1:
         out[1] = 1.0 - x
-    for p in range(2, order + 1):
-        out[p] = ((2.0 * p - 1.0 - x) * out[p - 1] - (p - 1.0) * out[p - 2]) / p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, order + 1):
+            out[p] = ((2.0 * p - 1.0 - x) * out[p - 1] - (p - 1.0) * out[p - 2]) / p
     return out
 
 
@@ -40,8 +43,9 @@ def laguerre_half_seq(order: int, x):
     out[0] = 1.0
     if order >= 1:
         out[1] = 0.5 - x
-    for p in range(2, order + 1):
-        out[p] = ((2.0 * p - 1.5 - x) * out[p - 1] - (p - 1.5) * out[p - 2]) / p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, order + 1):
+            out[p] = ((2.0 * p - 1.5 - x) * out[p - 1] - (p - 1.5) * out[p - 2]) / p
     return out
 
 

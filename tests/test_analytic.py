@@ -24,13 +24,12 @@ from indiboson.analytic import (
     phonon_number,
     phonon_number_linear,
     phonon_number_quadratic,
-    polaron_state_check,
-    vacuum_expansion_linear,
     vacuum_ground_phonon_number,
 )
 from indiboson.errors import PoleError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings, time_coeffs
 from indiboson.oracle import Propagator, TruncatedBasis, build_excited_hamiltonian
+from indiboson.validation import polaron_state_check, vacuum_expansion_linear
 
 import powerseries  # the tests' independent series reference
 from generating import generating_function  # the tests' K(x) reference

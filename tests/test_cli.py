@@ -265,12 +265,18 @@ def test_config_file_oracle_dim_pins_the_thermal_basis(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["couplings", "evolve", "correlation", "spectrum",
                                      "validate"])
-def test_oracle_flag_only_on_table_commands_with_references(command):
+def test_oracle_flag_only_on_table_commands_with_references(command, capsys):
     parser = cli.build_parser()
+    # no prefix matching: neither flag abbreviates --oracle-dim
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--oracle-d", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle-d 64" in capsys.readouterr().err
     if command in ("couplings", "validate"):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([command, "--oracle"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
     else:
         assert parser.parse_args([command, "--oracle"]).oracle is True
         assert parser.parse_args([command]).oracle is False

@@ -60,6 +60,9 @@ def run_in_process(args):
 # the thermal line sweep overflows
 @example(ratio=2.6448321811154014, lam=9.088184001853248, beta=0.019804782243742554,
          p=0, t_min=0.0)
+# the Laguerre recurrences overflow into NaN return amplitudes
+@example(ratio=1.0, lam=40.0, beta=math.inf, p=300, t_min=0.0)
+@example(ratio=1.5, lam=40.0, beta=math.inf, p=300, t_min=0.0)
 # corners of the box
 @example(ratio=1e-2, lam=10.0, beta=0.2, p=40, t_min=0.0)
 @example(ratio=1e2, lam=10.0, beta=0.2, p=40, t_min=1.0)

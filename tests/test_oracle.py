@@ -5,16 +5,19 @@ have the right matrix elements, propagation is unitary, and truncation
 contamination is detected instead of averaged away.
 """
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from indiboson.analytic import SpectralLine, spectrum_zero_T, vacuum_expansion_linear
+from indiboson.analytic import spectrum_zero_T
 from indiboson.cli import main
 from indiboson.errors import TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
+from indiboson import oracle
 from indiboson.oracle import (
     BUFFER_TOL,
     OracleState,
@@ -29,7 +32,9 @@ from indiboson.oracle import (
     thermal_line_list,
     window_broadened,
     _real_matvec,
+    _thermal_weights,
 )
+from indiboson.validation import vacuum_expansion_linear
 
 
 def make(omega_g=1.0, omega_e=1.0, lam=0.0, eps_e=0.0):
@@ -401,6 +406,34 @@ def test_franck_condon_weights_check_their_buffer(tmp_path, capsys, ratio, lam):
     assert "increase the basis" in capsys.readouterr().err
 
 
+def test_oracle_imports_nothing_from_analytic():
+    # the split: no formula and no container crosses from analytic
+    names = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.extend(alias.name for alias in node.names)
+    assert names and not [name for name in names if "analytic" in name]
+
+
+def test_thermal_line_list_is_the_pruned_double_loop():
+    # the masked product keeps the lines, their order (ground level, then
+    # eigenstate) and their bits of one loop over every transition
+    c = make(omega_e=2.0, lam=1.0)
+    th, basis = ThermalParams(0.5), TruncatedBasis(64)
+    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
+    evib = prop.energies - c.epsilon_e
+    want = []
+    for p, w_p in enumerate(_thermal_weights(th, c, basis)):
+        amps = prop.modes[p, :] ** 2
+        want += [(evib[n] - c.omega_g * (p + 0.5), 2.0 * np.pi * (w_p * amps[n]))
+                 for n in range(basis.dim) if w_p * amps[n] >= 1e-12]
+    got = thermal_line_list(th, c, basis)
+    assert len(want) < 5000  # pruned: not every transition
+    assert [(ln.offset, ln.weight) for ln in got] == want
+
+
 def test_cold_line_list_agrees_with_analytic_lines():
     # at T = 0 only p = 0 contributes, so the list must reduce to the
     # analytic vacuum line list; index lines by their ladder position to
@@ -418,7 +451,7 @@ def test_cold_line_list_agrees_with_analytic_lines():
 def test_window_broadened_line_shape():
     # at its own offset a line's window integrates to 2*(1 - e^{-eta T})/eta;
     # off the line it approaches the Lorentzian as the window lengthens
-    lines = [SpectralLine(offset=0.5, weight=2.0 * math.pi)]
+    lines = np.rec.fromarrays([[0.5], [2.0 * math.pi]], names="offset,weight")
     a = window_broadened([0.5, 0.8], lines, eta=0.1, t_max=80.0)
     assert a[0] == pytest.approx(2.0 * (1.0 - math.exp(-8.0)) / 0.1, rel=1e-12)
     long = window_broadened([0.8], lines, eta=0.1, t_max=800.0)

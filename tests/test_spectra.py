@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indiboson.analytic import (
-    SpectralLine,
     spectrum_finite_T,
     spectrum_zero_T,
     thermal_lines,
@@ -65,8 +64,7 @@ def broadened_lines(w_offsets, lines, eta):
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
     w = np.asarray(w_offsets, dtype=float)[:, None]
-    off = np.array([ln.offset for ln in lines])[None, :]
-    wt = np.array([ln.weight for ln in lines])[None, :]
+    off, wt = lines.offset[None, :], lines.weight[None, :]
     return np.sum(wt / math.pi * eta / ((w - off) ** 2 + eta**2), axis=1)
 
 
@@ -205,7 +203,7 @@ def test_line_list_names_the_weight_that_fails():
 
 
 def test_broadened_single_line_peak_height():
-    lines = [SpectralLine(offset=0.0, weight=2.0 * math.pi)]
+    lines = np.rec.fromarrays([[0.0], [2.0 * math.pi]], names="offset,weight")
     w = np.array([-0.3, 0.0, 0.3])
     a = broadened_lines(w, lines, eta=0.1)
     assert a[1] == pytest.approx(2.0 / 0.1, rel=1e-12)
@@ -272,26 +270,38 @@ def test_thermal_spectrum_matches_oracle_lines_in_the_same_window(ratio, lam, be
 @example(ratio=3.0, lam=2.0, beta=0.3)
 @example(ratio=0.5, lam=2.0, beta=0.3)
 def test_thermal_lines_meet_first_moment_and_sum_rule(ratio, lam, beta):
-    offsets, weights, residual = thermal_lines(ThermalParams(beta), make(omega_e=ratio, lam=lam))
+    lines, residual = thermal_lines(ThermalParams(beta), make(omega_e=ratio, lam=lam))
     assert residual <= 1e-9
     # only the Boltzmann tail below the 1e-12 floor is missing
-    assert weights.sum() == pytest.approx(2.0 * math.pi, abs=1e-10)
-    assert np.all(np.diff(offsets) > 0.0)
+    assert lines.weight.sum() == pytest.approx(2.0 * math.pi, abs=1e-10)
+    assert np.all(np.diff(lines.offset) > 0.0)
 
 
 def test_rational_ratio_merges_equal_offsets(mixed):
     # omega_e = 2*omega_g puts many (n, p) pairs on one offset
-    offsets, _, _ = thermal_lines(ThermalParams(0.5), mixed)
+    offsets = thermal_lines(ThermalParams(0.5), mixed)[0].offset
     assert np.array_equal(offsets, np.unique(offsets))
     assert np.allclose(offsets, np.round(offsets * 2.0) / 2.0, atol=1e-12)
 
 
 def test_thermal_line_list_is_the_zero_T_list_when_cold(mixed):
-    offsets, weights, _ = thermal_lines(T_ZERO, mixed)
+    lines = thermal_lines(T_ZERO, mixed)[0]
     cold = spectrum_zero_T(mixed)
     n = len(cold)
-    assert np.allclose(offsets[:n], [ln.offset for ln in cold], atol=1e-12)
-    assert np.allclose(weights[:n], [ln.weight for ln in cold], atol=1e-12)
+    assert np.allclose(lines.offset[:n], cold.offset, atol=1e-12)
+    assert np.allclose(lines.weight[:n], cold.weight, atol=1e-12)
+
+
+def test_every_line_list_has_one_record_shape(mixed):
+    th = ThermalParams(0.5)
+    lists = [spectrum_zero_T(mixed), thermal_lines(th, mixed)[0],
+             thermal_line_list(th, mixed, TruncatedBasis(128))]
+    for lines in lists:
+        assert isinstance(lines, np.recarray) and lines.ndim == 1
+        assert lines.dtype == lists[0].dtype
+        assert lines.dtype.names == ("offset", "weight")
+        # read by column or line by line
+        assert lines[1].offset == lines.offset[1] and lines[1].weight == lines.weight[1]
 
 
 def test_thermal_line_list_refuses_what_it_cannot_reach():
@@ -299,9 +309,9 @@ def test_thermal_line_list_refuses_what_it_cannot_reach():
         thermal_lines(ThermalParams(1e-3), make(omega_e=2.0, lam=1.0))
     # a Huang-Rhys factor of 900 needs ~1300 levels: the rows grow to the
     # 2000-level cap instead of doubling past it
-    _, weights, residual = thermal_lines(ThermalParams(1.0), make(lam=30.0))
+    lines, residual = thermal_lines(ThermalParams(1.0), make(lam=30.0))
     assert residual <= 1e-9
-    assert weights.sum() == pytest.approx(2.0 * math.pi, abs=1e-9)
+    assert lines.weight.sum() == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -366,13 +376,13 @@ def test_window_sum_matches_direct_line_sum(w):
     c = make(omega_e=2.0, lam=1.0, eps_e=0.7)
     th = ThermalParams(0.5)
     eta, t_max = 0.2, 40.0
-    offsets, weights, _ = thermal_lines(th, c)
+    lines = thermal_lines(th, c)[0]
     got = spectrum_finite_T(th, c, w, eta=eta)
     delta = w - c.omega_eg
     want = np.zeros(w.size)
-    for off, weight in zip(offsets, weights):
+    for off, weight in lines:
         s = 1j * (delta - off) - eta
         want += weight / math.pi * ((np.exp(s * t_max) - 1.0) / s).real
     assert got.shape == w.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(windowed_spectrum(offsets, weights, delta, eta, t_max), got)
+    assert np.array_equal(windowed_spectrum(lines, delta, eta, t_max), got)
