@@ -437,8 +437,12 @@ def windowed_spectrum(lines, delta, eta: float, t_max: float) -> np.ndarray:
     s = i(delta - offset) - eta, T = t_max, evaluated in real arithmetic as
     2*(eta*(1 - E*C) + E*D*S)/(eta**2 + D**2), D = delta - offset,
     E = e^{-eta T}, C and S the cosine and sine of D*T from the angle
-    difference of delta*T and offset*T, in blocks of 256 lines.
+    difference of delta*T and offset*T, in blocks of 256 lines. An
+    infinite T or an eta whose square underflows to 0 is refused; otherwise
+    the denominator is never zero.
     """
+    if not math.isfinite(t_max) or eta * eta == 0.0:
+        raise ValueError(f"eta = {eta!r} is too small for the damped window")
     delta = np.asarray(delta, dtype=float)
     d_col = delta.reshape(-1, 1)
     decay = math.exp(-eta * t_max)

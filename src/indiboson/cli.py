@@ -205,6 +205,8 @@ def build_run_config(raw: dict) -> RunConfig:
     t_points = _as_int(raw, "t_points", 400)
     if t_max <= t_min:
         raise ConfigError(f"t_max must exceed t_min, got [{t_min}, {t_max}]")
+    if not math.isfinite(t_max - t_min):
+        raise ConfigError(f"t span [{t_min}, {t_max}] is wider than the float range")
     if t_points < 2:
         raise ConfigError(f"t_points must be >= 2, got {t_points}")
     omega_eg = params.epsilon_e - params.epsilon_g
@@ -213,6 +215,8 @@ def build_run_config(raw: dict) -> RunConfig:
     w_points = _as_int(raw, "w_points", 1201)
     if w_max <= w_min:
         raise ConfigError(f"w_max must exceed w_min, got [{w_min}, {w_max}]")
+    if not math.isfinite(w_max - w_min):
+        raise ConfigError(f"w span [{w_min}, {w_max}] is wider than the float range")
     if w_points < 2:
         raise ConfigError(f"w_points must be >= 2, got {w_points}")
     eta = _as_float(raw, "eta", 0.02 * params.omega_e)

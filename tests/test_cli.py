@@ -15,7 +15,8 @@ import indiboson
 from indiboson import cli, validation
 from indiboson.cli import build_run_config, main, parse_config_text
 from indiboson.analytic import spectrum_zero_T
-from indiboson.errors import ConfigError, LineListError, OracleError
+from indiboson.errors import (ConfigError, LineListError, OracleError, PoleError,
+                              TruncationError)
 
 SAMPLE = """\
 # sample setup
@@ -514,6 +515,52 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     rows = validation.run_validation(specs, oracle_dim=64, thermal_dim=256).rows
     missed = {r.check for r in rows if "sum rule missed" in r.note and not r.passed}
     assert missed == {"line_weights", "line_sum_rule"}
+
+
+def test_validate_polaron_row_follows_the_basis_size(tmp_path, capsys):
+    # 60 levels miss the displaced-mode identity at lambda_g = 4 by 1.6e-6
+    cfg = tmp_path / "displaced.cfg"
+    cfg.write_text("omega_g = 1\nomega_e = 1\nlambda_g = 4\nbeta = 2\n")
+    code, out, _ = run(["validate", "--config", str(cfg), "--oracle-dim", "256"], capsys)
+    assert code == 0
+    row = next(line for line in out.splitlines()
+               if line.startswith("polaron_identity") and " config " in line)
+    assert " pass " in row and row.endswith("[p <= 3, dim 256]")
+
+
+def test_row_reports_the_first_worst_sample():
+    row = validation._row("c", "s", 1.0, lambda: (np.array([1.0, 3.0, 5.0, 3.0]),
+                                                   np.array([1.0, 1.0, 3.0, 5.0]), "n"))
+    assert row == validation.ValidationRow("c", "s", 3.0, 1.0, 2.0, 1.0, False, "n")
+
+
+def test_row_reports_complex_samples_as_magnitudes():
+    row = validation._row("c", "s", 1.0, lambda: (np.array([1 + 1j, 3j]),
+                                                   np.array([1.0, -3j]), ""))
+    assert (row.analytic, row.reference, row.diff) == (3.0, 3.0, 6.0)
+
+
+def test_row_broadcasts_a_scalar_against_samples():
+    row = validation._row("c", "s", 2.0, lambda: (-2.0, np.array([-2.0, -1.5, -3.5]), ""))
+    assert (row.analytic, row.reference, row.diff, row.passed) == (-2.0, -3.5, 1.5, True)
+
+
+def test_row_fails_a_nan_sample():
+    row = validation._row("c", "s", 1.0, lambda: (np.array([1.0, math.nan, 5.0]), 1.0, ""))
+    assert math.isnan(row.analytic) and math.isnan(row.diff) and not row.passed
+
+
+@pytest.mark.parametrize("exc", [
+    TruncationError("basis edge"), LineListError("sum rule missed"),
+    OracleError("not Hermitian"), PoleError("on a pole"), ValueError("bad input"),
+], ids=lambda exc: type(exc).__name__)
+def test_row_reports_a_failing_check_as_a_failed_row(exc):
+    def check():
+        raise exc
+
+    row = validation._row("c", "s", 1.0, check)
+    assert not row.passed and math.isnan(row.analytic) and math.isnan(row.diff)
+    assert row.note == f"{type(exc).__name__}: {exc}"
 
 
 def test_validate_fails_on_undersized_basis(tmp_path, capsys):

@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +85,25 @@ def test_every_subcommand_succeeds_finite_or_refuses_cleanly(ratio, lam, beta, p
             else:
                 assert code in (2, 3), f"exit {code} from {context}"
                 assert out == "" and err.count("\n") == 1, f"{err} from {context}"
+
+
+WIDE_T = "omega_g = 1\nomega_e = 1\nlambda_g = 1\nbeta = 1\nt_min = -1e308\nt_max = 1e308\n"
+WIDE_W = "omega_g = 1\nomega_e = 1\nlambda_g = 1\nbeta = 1\nw_min = -1e308\nw_max = 1e308\n"
+
+
+@pytest.mark.parametrize("args, setup", [
+    (["spectrum", "--preset", "fig2-linear", "--eta", "1e-300"], None),  # eta**2 underflows
+    (["spectrum", "--preset", "fig2-linear", "--eta", "5e-324"], None),  # 8/eta overflows
+    (["spectrum"], WIDE_W),
+    (["evolve"], WIDE_T),
+    (["correlation"], WIDE_T),
+], ids=["eta-1e-300", "eta-5e-324", "spectrum-w-span", "evolve-t-span", "correlation-t-span"])
+def test_grids_and_windows_beyond_the_float_range_are_refused(tmp_path, args, setup):
+    if setup is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setup)
+        args = [*args, "--config", str(cfg)]
+    code, out, err, caught = run_in_process(args)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
