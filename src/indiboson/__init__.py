@@ -10,16 +10,11 @@ Closed forms live in :mod:`indiboson.analytic`, parameter handling in
 __version__ = "0.1.0"
 
 from .analytic import (
-    OverlapValue,
     correlation,
     excited_mean_energy,
     excited_phonon_number,
     overlap,
-    overlap_linear,
-    overlap_quadratic,
     phonon_number,
-    phonon_number_linear,
-    phonon_number_quadratic,
     spectrum_finite_T,
     spectrum_zero_T,
     thermal_lines,
@@ -44,7 +39,6 @@ from .model import (
 
 __all__ = [
     "__version__",
-    "OverlapValue",
     "Couplings",
     "ModelParams",
     "ThermalParams",
@@ -59,11 +53,7 @@ __all__ = [
     "excited_mean_energy",
     "excited_phonon_number",
     "overlap",
-    "overlap_linear",
-    "overlap_quadratic",
     "phonon_number",
-    "phonon_number_linear",
-    "phonon_number_quadratic",
     "spectrum_finite_T",
     "spectrum_zero_T",
     "thermal_lines",

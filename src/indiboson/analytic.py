@@ -22,21 +22,17 @@ import numpy as np
 
 from .errors import LineListError, PoleError
 from .model import Couplings, ThermalParams, time_coeffs
-from .specfun import laguerre_half_at_zero, laguerre_half_seq, laguerre_seq
+from .specfun import laguerre_half_at_zero, laguerre_half_seq
+from .specfun import laguerre_seq  # noqa: F401  perfbench's tracer patches it; ROADMAP item 1
 
 __all__ = [
     "WINDOW_DECAY",
-    "OverlapValue",
     "overlap",
     "phonon_number",
     "correlation",
     "vacuum_ground_phonon_number",
-    "phonon_number_linear",
-    "phonon_number_quadratic",
     "excited_phonon_number",
     "excited_mean_energy",
-    "overlap_linear",
-    "overlap_quadratic",
     "spectrum_zero_T",
     "thermal_lines",
     "windowed_spectrum",
@@ -121,20 +117,10 @@ def vacuum_ground_phonon_number(c: Couplings) -> float:
     return c.lambda_g**2 + c.gamma_minus**2
 
 
-def phonon_number_linear(p: int, c: Couplings, t):
-    """Ground-mode occupation of the evolved state, equal frequencies:
-    p + 4*lambda_g**2*sin(omega*t/2)**2. A float for a float t, an array
-    for an ndarray of times."""
-    p = _require_order(p)
-    _require_equal_frequencies(c, "phonon_number_linear")
-    s = np.sin(0.5 * c.omega_e * t)
-    return p + 4.0 * c.huang_rhys * s * s
-
-
 def phonon_number_quadratic(p: int, c: Couplings, t):
-    """Ground-mode occupation of the evolved state for general couplings:
+    """Ground-mode occupation of the evolved state:
     p*|d'|**2 + (p+1)*|q'|**2 + |lam'|**2, at a time or an ndarray of
-    times."""
+    times; at equal frequencies p + 4*lambda_g**2*sin(omega*t/2)**2."""
     p = _require_order(p)
     tc = time_coeffs(c, t)
     return (
@@ -144,13 +130,13 @@ def phonon_number_quadratic(p: int, c: Couplings, t):
     )
 
 
+# perfbench imports this name; removable with ROADMAP item 1
+phonon_number_linear = phonon_number_quadratic
+
+
 def phonon_number(p: int, c: Couplings, ts) -> np.ndarray:
-    """Ground-mode occupation of the evolved state on an array of times;
-    the one place that picks the equal-frequency or the general closed
-    form."""
-    ts = np.asarray(ts, dtype=float)
-    kernel = phonon_number_linear if c.equal_frequencies else phonon_number_quadratic
-    return kernel(p, c, ts)
+    """Ground-mode occupation of the evolved state on an array of times."""
+    return phonon_number_quadratic(p, c, np.asarray(ts, dtype=float))
 
 
 def excited_phonon_number(p: int, c: Couplings) -> float:
@@ -171,26 +157,6 @@ def excited_mean_energy(p: int, c: Couplings) -> float:
 
 # ---------------------------------------------------------------------------
 # return amplitudes
-
-
-def overlap_linear(p: int, c: Couplings, t) -> OverlapValue:
-    """Return amplitude for equal surface frequencies, at a time or an
-    ndarray of times.
-
-    <p|p(t)> = exp(-lam*conj(lam_t)) * exp(-i*omega*t*(p + 1/2))
-               * L_p(|lam_t|**2)  with  lam_t = lam*(1 - e^{i omega t}).
-    """
-    p = _require_order(p)
-    _require_equal_frequencies(c, "overlap_linear")
-    w = c.omega_e
-    lam = c.lambda_g
-    lam_t = lam * (1.0 - np.exp(1j * w * t))
-    value = (
-        np.exp(-lam * np.conj(lam_t))
-        * np.exp(-1j * w * t * (p + 0.5))
-        * laguerre_seq(p, abs(lam_t) ** 2)[p]
-    )
-    return _overlap_value(p, t, value)
 
 
 def _t0_return_factor(c: Couplings, t):
@@ -216,7 +182,8 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
     Evaluates the closed form
     T0 * e^{-i omega_e t/2} * (d/(1+q))**p *
     sum_k ((1+q)/(1-q))**k L^{(-1/2)}_{p-k}(0) L^{(-1/2)}_k(-lam**2/(d(1-q)))
-    which reduces to :func:`overlap_linear` as the frequencies merge. For
+    which at equal frequencies (q = 0) is the displaced-mode form
+    e^{-lam*conj(lam_t)} e^{-i omega t (p + 1/2)} L_p(|lam_t|**2). For
     real parameters q is purely imaginary, so |1 -+ q| >= 1 and the
     partial fractions never degenerate.
     """
@@ -231,40 +198,30 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
     powers[0] = 1.0
     powers[1:] = ratio
     powers.cumprod(axis=0, out=powers)
-    acc = np.sum(powers * at_zero.reshape(column) * half, axis=0)
-    value = (
-        _t0_return_factor(c, t)
-        * np.exp(-0.5j * c.omega_e * t)
-        * (d / (1.0 + q)) ** p
-        * acc
-    )
+    # an overflowed Laguerre value turns the sum into inf or NaN without a
+    # warning, and the magnitude check refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.sum(powers * at_zero.reshape(column) * half, axis=0)
+        value = (
+            _t0_return_factor(c, t)
+            * np.exp(-0.5j * c.omega_e * t)
+            * (d / (1.0 + q)) ** p
+            * acc
+        )
     return _overlap_value(p, t, value)
 
 
+# perfbench imports this name; removable with ROADMAP item 1
+overlap_linear = overlap_quadratic
+
+
 def overlap(p: int, c: Couplings, ts) -> np.ndarray:
-    """Return amplitudes <p|p(t)> on an array of times; the one place that
-    picks the equal-frequency or the general closed form."""
-    ts = np.asarray(ts, dtype=float)
-    return (overlap_linear if c.equal_frequencies else overlap_quadratic)(p, c, ts).value
+    """Return amplitudes <p|p(t)> on an array of times."""
+    return overlap_quadratic(p, c, np.asarray(ts, dtype=float)).value
 
 
 # ---------------------------------------------------------------------------
 # thermal correlation
-
-
-def _correlation_linear_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
-    """Equal frequencies:
-    e^{-i omega_eg t} e^{-lam*conj(lam_t)} e^{-nbar*|lam_t|**2}."""
-    _require_equal_frequencies(c, "_correlation_linear_values")
-    w = c.omega_e
-    lam = c.lambda_g
-    lam_t = lam * (1.0 - np.exp(1j * w * ts))
-    nbar = th.mean_occupation(w)
-    return (
-        np.exp(-1j * c.omega_eg * ts)
-        * np.exp(-lam * np.conj(lam_t))
-        * np.exp(-nbar * np.abs(lam_t) ** 2)
-    )
 
 
 def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
@@ -296,15 +253,15 @@ def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.nda
     )
 
 
+# perfbench's tracer patches this name; removable with ROADMAP item 1
+_correlation_linear_values = _correlation_quadratic_values
+
+
 def correlation(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
     """Thermal dipole correlation G(t) on an array of times, including the
-    electronic phase e^{-i omega_eg t}; the one place that picks the
-    equal-frequency or the general closed form. |G| <= 1 is checked over
-    the whole array."""
-    ts = np.asarray(ts, dtype=float)
-    values = (
-        _correlation_linear_values if c.equal_frequencies else _correlation_quadratic_values
-    )(th, c, ts)
+    electronic phase e^{-i omega_eg t}. |G| <= 1 is checked over the whole
+    array."""
+    values = _correlation_quadratic_values(th, c, np.asarray(ts, dtype=float))
     _check_magnitude("correlation", values)
     return values
 
@@ -438,16 +395,24 @@ def windowed_spectrum(lines, delta, eta: float, t_max: float) -> np.ndarray:
     2*(eta*(1 - E*C) + E*D*S)/(eta**2 + D**2), D = delta - offset,
     E = e^{-eta T}, C and S the cosine and sine of D*T from the angle
     difference of delta*T and offset*T, in blocks of 256 lines. An
-    infinite T or an eta whose square underflows to 0 is refused; otherwise
-    the denominator is never zero.
+    infinite T or an eta whose square underflows to 0 is refused, and so
+    are offsets so far apart that D**2 or eta**2 + D**2 overflows;
+    otherwise the denominator is never zero.
     """
     if not math.isfinite(t_max) or eta * eta == 0.0:
         raise ValueError(f"eta = {eta!r} is too small for the damped window")
     delta = np.asarray(delta, dtype=float)
+    offsets, weights = lines.offset, lines.weight
+    # D**2 must stay finite, and so must eta**2 + D**2 unless eta**2 alone
+    # overflows, which only sends every shape to 0
+    far = float(np.abs(delta).max(initial=0.0)) + float(np.abs(offsets).max(initial=0.0))
+    eta2, far2 = eta * eta, far * far
+    if math.isinf(far2) or (math.isfinite(eta2) and math.isinf(eta2 + far2)):
+        raise ValueError(f"offsets up to {far:.3g} from the gap at eta = {eta!r} "
+                         "leave the float range of the line shape")
     d_col = delta.reshape(-1, 1)
     decay = math.exp(-eta * t_max)
     cos_d, sin_d = decay * np.cos(d_col * t_max), decay * np.sin(d_col * t_max)
-    offsets, weights = lines.offset, lines.weight
     out = np.zeros(delta.size)
     for start in range(0, offsets.size, _BLOCK):
         off = offsets[start : start + _BLOCK]

@@ -165,7 +165,6 @@ class RunConfig:
             "w_max": self.w_grid[1],
             "w_points": self.w_grid[2],
             "eta": self.eta,
-            "oracle_dim": self.oracle_dim,
             "format": self.fmt,
         }
 
@@ -361,6 +360,7 @@ def cmd_evolve(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
         columns["oracle_ground_phonons"] = [
             observable(prop.evolve(state, t), num_op) for t in ts
         ]
+        return {"oracle_dim": cfg.oracle_dim}, columns
     return {}, columns
 
 
@@ -395,6 +395,7 @@ def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict
         if oracle:
             ref = franck_condon_weights(c, TruncatedBasis(cfg.oracle_dim), len(lines))
             columns["oracle_weight"] = list(ref)
+            return {"oracle_dim": cfg.oracle_dim}, columns
         return {}, columns
     w = cfg.freqs()
     t_max = WINDOW_DECAY / cfg.eta
@@ -462,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat 'key = value' config file")
         sp.add_argument("--preset", help="built-in setup: " + ", ".join(preset_names()))
         sp.add_argument("--beta", help="inverse temperature override ('inf' for T = 0)")
-        sp.add_argument("--eta", type=float, help="spectral half-width override")
-        sp.add_argument("--oracle-dim", dest="oracle_dim", type=int,
+        sp.add_argument("--eta", help="spectral half-width override")
+        sp.add_argument("--oracle-dim", dest="oracle_dim",
                         help="truncated-basis size (default 128; thermal "
                              "comparisons use 256 unless this is given)")
         sp.add_argument("--format", choices=("csv", "json"), help="output format")

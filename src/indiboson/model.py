@@ -25,7 +25,9 @@ __all__ = [
 ]
 
 # Below this |gamma_minus| the surfaces are treated as sharing one frequency:
-# overlap, phonon_number and correlation take the displaced-mode closed form.
+# the excited-mode occupation and energy are conserved and defined, and
+# validate adds its two equal-frequency rows. Every other closed form is
+# the general one, which contains the equal-frequency limit.
 GAMMA_LINEAR_THRESHOLD = 1e-9
 
 
@@ -171,15 +173,6 @@ class ThermalParams:
         if omega <= 0.0:
             raise ValueError(f"omega must be > 0, got {omega}")
         return math.exp(-self.beta * omega)
-
-    def mean_occupation(self, omega: float) -> float:
-        """Bose occupation 1/(exp(beta*omega) - 1)."""
-        if omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {omega}")
-        x = self.beta * omega
-        if x > 700.0:  # expm1 would overflow; occupation underflows to 0
-            return 0.0
-        return 1.0 / math.expm1(x)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,8 @@ from indiboson.analytic import (
     correlation,
     excited_mean_energy,
     overlap,
-    overlap_linear,
     overlap_quadratic,
-    phonon_number_linear,
-    phonon_number_quadratic,
+    phonon_number,
     spectrum_finite_T,
     spectrum_zero_T,
     vacuum_ground_phonon_number,
@@ -35,6 +33,8 @@ from indiboson.oracle import (
     thermal_correlation,
 )
 from indiboson.validation import polaron_state_check
+
+import displaced  # the tests' equal-frequency reference
 
 _T0 = time.perf_counter()
 
@@ -97,11 +97,11 @@ def test_3_displaced_return_probability_vs_reference():
     basis = TruncatedBasis(128)
     prop = Propagator(build_excited_hamiltonian(c, basis), basis)
     reference = np.abs(prop.return_amplitude(0, ts, energy_offset=c.epsilon_e)) ** 2
-    analytic = np.array([overlap_linear(0, c, t).probability for t in ts])
+    analytic = np.abs(overlap(0, c, ts)) ** 2
     worst = float(np.max(np.abs(analytic - reference)))
     assert worst <= 1e-8, f"max deviation {worst:.3e}"
     # half-period spot value: |<0|0_t>|**2 = e^{-4 lambda**2 sin^2} = e^{-4}
-    spot = overlap_linear(0, c, math.pi).probability
+    spot = abs(overlap(0, c, [math.pi])[0]) ** 2
     assert spot == pytest.approx(math.exp(-4.0), abs=1e-8)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f} s"
@@ -129,9 +129,7 @@ def test_4_general_return_amplitude_vs_reference():
     red = 0.0
     for t in (0.3, 1.1, 2.9, 5.0, 9.7):
         for p in range(21):
-            diff = abs(
-                overlap_quadratic(p, lin, t).value - overlap_linear(p, lin, t).value
-            )
+            diff = abs(overlap_quadratic(p, lin, t).value - displaced.overlap(p, lin, t))
             red = max(red, diff)
     assert red <= 1e-10, f"reduction mismatch {red:.3e}"
     _report(4, "general return amplitude vs reference", f"worst {worst:.2e}")
@@ -146,9 +144,7 @@ def test_5_phonon_numbers_vs_reference():
         num_op = np.diag(np.arange(128, dtype=float))
         state = OracleState.number_state(basis, 0)
         ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 100)
-        fn = phonon_number_linear if c.equal_frequencies else phonon_number_quadratic
-        for t in ts:
-            got = fn(0, c, t)
+        for t, got in zip(ts, phonon_number(0, c, ts)):
             ref = observable(prop.evolve(state, t), num_op)
             worst = max(worst, abs(got - ref))
     assert worst <= 1e-7, f"max deviation {worst:.3e}"
@@ -163,7 +159,8 @@ def test_5_phonon_numbers_vs_reference():
     ts = np.linspace(0.0, 4.0 * math.pi, 161)
     energies = np.array([observable(prop.evolve(state, t), h) for t in ts])
     assert np.max(np.abs(energies - excited_mean_energy(0, c))) <= 1e-8
-    phonons = np.array([phonon_number_linear(0, c, t) for t in ts])
+    phonons = phonon_number(0, c, ts)
+    assert np.max(np.abs(phonons - displaced.phonon_number(0, c, ts))) <= 1e-12
     assert np.max(phonons) - np.min(phonons) == pytest.approx(
         4.0 * c.huang_rhys, abs=1e-7
     )

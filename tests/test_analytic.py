@@ -19,10 +19,8 @@ from indiboson.analytic import (
     excited_mean_energy,
     excited_phonon_number,
     overlap,
-    overlap_linear,
     overlap_quadratic,
     phonon_number,
-    phonon_number_linear,
     phonon_number_quadratic,
     vacuum_ground_phonon_number,
 )
@@ -31,6 +29,7 @@ from indiboson.model import ModelParams, ThermalParams, derive_couplings, time_c
 from indiboson.oracle import Propagator, TruncatedBasis, build_excited_hamiltonian
 from indiboson.validation import polaron_state_check, vacuum_expansion_linear
 
+import displaced as displaced_form  # the tests' equal-frequency reference
 import powerseries  # the tests' independent series reference
 from generating import generating_function  # the tests' K(x) reference
 
@@ -101,7 +100,7 @@ def test_result_containers_reject_unphysical_magnitudes(monkeypatch, displaced):
     assert ok.probability == pytest.approx([1.0, 0.36, 0.25])
     # the correlation carries the same whole-array guard
     monkeypatch.setattr(
-        analytic, "_correlation_linear_values", lambda th, c, ts: np.full(ts.shape, -1.2 + 0j)
+        analytic, "_correlation_quadratic_values", lambda th, c, ts: np.full(ts.shape, -1.2 + 0j)
     )
     with pytest.raises(ValueError, match="correlation magnitude"):
         correlation(T_ZERO, displaced, ts)
@@ -131,18 +130,17 @@ def test_vacuum_phonon_number(displaced, squeezed, mixed):
 
 def test_phonon_number_spot(displaced):
     # p = 2, lambda = 1, omega*t = pi/3: 2 + 4*sin(pi/6)**2 = 3
-    assert phonon_number_linear(2, displaced, math.pi / 3.0) == pytest.approx(
-        3.0, abs=1e-14
-    )
-    assert phonon_number_linear(0, displaced, 0.0) == 0.0
+    assert phonon_number(2, displaced, [math.pi / 3.0])[0] == pytest.approx(3.0, abs=1e-14)
+    assert phonon_number(0, displaced, [0.0])[0] == 0.0
 
 
 def test_phonon_number_routes_agree(displaced):
-    for t in (0.0, 0.4, 1.3, 2.9, 6.1):
-        for p in (0, 1, 5):
-            assert phonon_number_quadratic(p, displaced, t) == pytest.approx(
-                phonon_number_linear(p, displaced, t), abs=1e-12
-            )
+    # the general form against p + 4*lambda**2*sin(omega*t/2)**2
+    ts = np.array([0.0, 0.4, 1.3, 2.9, 6.1])
+    for p in (0, 1, 5):
+        assert phonon_number(p, displaced, ts) == pytest.approx(
+            displaced_form.phonon_number(p, displaced, ts), abs=1e-12
+        )
 
 
 def test_phonon_number_from_operator_coefficients(mixed):
@@ -186,7 +184,7 @@ def test_excited_surface_constants(displaced, mixed):
     with pytest.raises(ValueError, match="omega_g == omega_e"):
         excited_mean_energy(0, mixed)
     with pytest.raises(ValueError, match="phonon index"):
-        phonon_number_linear(-1, displaced, 0.0)
+        phonon_number(-1, displaced, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +193,16 @@ def test_excited_surface_constants(displaced, mixed):
 
 def test_overlap_linear_spots(displaced):
     # p = 1, omega*t = pi: lam_t = 2, L_1(4) = -3, |amp| = 3 e^{-2}
-    v = overlap_linear(1, displaced, math.pi)
-    assert v.probability == pytest.approx(9.0 * math.exp(-4.0), rel=1e-12)
+    v = overlap(1, displaced, [math.pi])[0]
+    assert abs(v) ** 2 == pytest.approx(9.0 * math.exp(-4.0), rel=1e-12)
     # p = 0 at the same point decays as e^{-2 lam_t**2 / 2} = e^{-2}
-    v0 = overlap_linear(0, displaced, math.pi)
-    assert v0.probability == pytest.approx(math.exp(-4.0), rel=1e-12)
-    assert v0.value == pytest.approx(math.exp(-2.0) * -1j, abs=1e-14)
-
-
-def test_overlap_linear_requires_equal_frequencies(mixed):
-    with pytest.raises(ValueError, match="omega_g == omega_e"):
-        overlap_linear(0, mixed, 1.0)
+    v0 = overlap(0, displaced, [math.pi])[0]
+    assert abs(v0) ** 2 == pytest.approx(math.exp(-4.0), rel=1e-12)
+    assert v0 == pytest.approx(math.exp(-2.0) * -1j, abs=1e-14)
 
 
 def test_overlap_starts_at_unity(displaced, squeezed, mixed):
     for p in range(11):
-        assert overlap_linear(p, displaced, 0.0).value == 1.0 + 0.0j
         for c in (displaced, squeezed, mixed):
             assert overlap_quadratic(p, c, 0.0).value == 1.0 + 0.0j
 
@@ -218,7 +210,7 @@ def test_overlap_starts_at_unity(displaced, squeezed, mixed):
 @given(lam=lambdas, t=times, p=st.integers(0, 6))
 def test_overlap_linear_magnitude_bounded(lam, t, p):
     c = make(lam=lam)
-    v = overlap_linear(p, c, t)  # the container itself enforces |v| <= 1
+    v = overlap_quadratic(p, c, t)  # the container itself enforces |v| <= 1
     assert v.probability <= 1.0 + 1e-9
 
 
@@ -237,8 +229,17 @@ def test_overlap_quadratic_reduces_to_linear(displaced):
     for t in (0.3, 1.1, 2.9, 5.0):
         for p in range(9):
             quad = overlap_quadratic(p, displaced, t).value
-            lin = overlap_linear(p, displaced, t).value
+            lin = displaced_form.overlap(p, displaced, t)
             assert quad == pytest.approx(lin, abs=1e-11)
+    # strong displacements and deep levels, short of where L_p overflows
+    ts = np.linspace(0.0, 2.0 * math.pi, 101)
+    for lam, p_max in ((0.5, 1000), (3.0, 1000), (10.0, 1000), (40.0, 60)):
+        c = make(lam=lam)
+        for p in (5, 60, 300, 1000):
+            if p <= p_max:
+                got = np.abs(overlap(p, c, ts)) ** 2
+                want = np.abs(displaced_form.overlap(p, c, ts)) ** 2
+                assert np.max(np.abs(got - want)) <= 1e-11, (lam, p)
 
 
 def test_overlap_series_route_matches_closed_form(squeezed, mixed):
@@ -291,13 +292,11 @@ def test_overlap_quadratic_magnitude_bounded(ratio, lam, t):
 def test_array_paths_equal_per_time_calls(request, name, p):
     c = request.getfixturevalue(name)
     ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 400)
-    kernel = overlap_linear if c.equal_frequencies else overlap_quadratic
     amp = overlap(p, c, ts)
     assert amp.shape == ts.shape
-    assert np.max(np.abs(amp - [kernel(p, c, t).value for t in ts])) <= 1e-13
-    phon_kernel = phonon_number_linear if c.equal_frequencies else phonon_number_quadratic
+    assert np.max(np.abs(amp - [overlap_quadratic(p, c, t).value for t in ts])) <= 1e-13
     phon = phonon_number(p, c, ts)
-    assert np.max(np.abs(phon - [phon_kernel(p, c, t) for t in ts])) <= 1e-13
+    assert np.max(np.abs(phon - [phonon_number_quadratic(p, c, t) for t in ts])) <= 1e-13
     th = ThermalParams(0.5)
     g = correlation(th, c, ts)
     assert np.max(np.abs(g - [correlation(th, c, [t])[0] for t in ts])) <= 1e-13
@@ -389,6 +388,15 @@ def test_correlation_linear_is_periodic(displaced):
     a = correlation(th, displaced, ts)
     b = correlation(th, displaced, ts + period)
     assert np.abs(b) == pytest.approx(np.abs(a), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e-8, 1e-3, 0.3, 1.0, 4.0, math.inf])
+def test_equal_frequency_correlation_matches_displaced_form(beta):
+    # e^{-i omega_eg t} e^{-lam*conj(lam_t)} e^{-nbar*|lam_t|**2}
+    c = make(lam=1.0, eps_e=1.5)
+    ts = np.linspace(0.0, 4.0 * math.pi, 400)
+    got = correlation(ThermalParams(beta), c, ts)
+    assert np.max(np.abs(got - displaced_form.correlation(beta, c, ts))) <= 1e-13
 
 
 def test_cold_correlation_is_vacuum_overlap_with_gap_phase(mixed):

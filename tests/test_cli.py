@@ -249,6 +249,24 @@ def test_thermal_oracle_defaults_to_the_validate_dimension(capsys):
     assert "increase the basis" in err
 
 
+def test_oracle_dim_is_reported_only_where_an_oracle_ran(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SAMPLE)
+    for args in (["couplings"], ["evolve"], ["correlation"], ["spectrum"],
+                 ["spectrum", "--beta", "inf"]):
+        code, out, _ = run([*args, "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "oracle_dim" not in parse_csv(out)[0], args
+    for args, dim in ((["evolve"], "128"), (["spectrum", "--beta", "inf"], "128"),
+                      (["correlation"], "256"), (["spectrum"], "256")):
+        code, out, _ = run([*args, "--config", str(cfg), "--oracle"], capsys)
+        assert code == 0
+        assert parse_csv(out)[0]["oracle_dim"] == dim, args
+        code, out, _ = run([*args, "--config", str(cfg), "--oracle", "--format", "json"],
+                           capsys)
+        assert json.loads(out)["meta"]["oracle_dim"] == int(dim), args
+
+
 def test_config_file_oracle_dim_pins_the_thermal_basis(tmp_path, capsys):
     # one rule: an oracle_dim key pins every comparison, whether it came
     # from --oracle-dim or from a config file
@@ -338,12 +356,27 @@ def test_non_finite_integer_config_value_is_a_config_error(tmp_path, capsys, key
     assert err == f"error: {key}: expected an integer, got '{value}'\n"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_eta_flag_is_a_config_error(capsys, value):
-    code, out, err = run(["spectrum", "--preset", "fig2-both", "--eta", value], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: eta: expected a finite number, got {value}\n"
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta", "nan", "error: eta: expected a finite number, got 'nan'\n"),
+    ("--eta", "inf", "error: eta: expected a finite number, got 'inf'\n"),
+    ("--oracle-dim", "1.5", "error: oracle_dim: expected an integer, got '1.5'\n"),
+    ("--oracle-dim", "1e3", ""),  # 1000 levels, as in a config file
+], ids=["nan", "inf", "oracle-dim-1.5", "oracle-dim-1e3"])
+def test_non_finite_eta_flag_is_a_config_error(tmp_path, capsys, flag, value, message):
+    # a flag is parsed like its config key: the same refusal or the same run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SAMPLE.replace("t_points = 7", "t_points = 3").replace("eta = 0.1\n", ""))
+    args = ["evolve", "--config", str(cfg), "--oracle"]
+    by_flag = run(args + [flag, value], capsys)
+    with cfg.open("a") as fh:
+        fh.write(f"{flag[2:].replace('-', '_')} = {value}\n")
+    assert by_flag == run(args, capsys)
+    code, out, err = by_flag
+    assert err == message
+    if message:
+        assert code == 2 and out == ""
+    else:
+        assert code == 0 and parse_csv(out)[0]["oracle_dim"] == "1000"
 
 
 @pytest.mark.parametrize("setup, field", [
@@ -395,11 +428,12 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
 
 
 def test_near_infinite_temperature_is_a_domain_error(capsys):
-    code, _, err = run(
-        ["correlation", "--preset", "fig2-both", "--beta", "1e-13"], capsys
-    )
-    assert code == 3
-    assert "pole" in err
+    # equal frequencies take the same closed form, and meet the same pole
+    for preset in ("fig2-both", "fig2-linear"):
+        code, out, err = run(["correlation", "--preset", preset, "--beta", "1e-13"], capsys)
+        assert code == 3, preset
+        assert out == ""
+        assert "pole" in err
 
 
 def test_line_list_failure_is_a_numerical_error(tmp_path, capsys):

@@ -89,6 +89,9 @@ def test_every_subcommand_succeeds_finite_or_refuses_cleanly(ratio, lam, beta, p
 
 WIDE_T = "omega_g = 1\nomega_e = 1\nlambda_g = 1\nbeta = 1\nt_min = -1e308\nt_max = 1e308\n"
 WIDE_W = "omega_g = 1\nomega_e = 1\nlambda_g = 1\nbeta = 1\nw_min = -1e308\nw_max = 1e308\n"
+FAR_W = "omega_g = 1\nomega_e = 1\nlambda_g = 1\nbeta = 1\nw_min = 1e300\nw_max = 1.5e300\n"
+FAR_W_WIDE = ("omega_g = 1\nomega_e = 1\nlambda_g = 1\nbeta = 1\nw_min = 1.2e154\n"
+              "w_max = 1.3e154\neta = 1.2e154\n")
 
 
 @pytest.mark.parametrize("args, setup", [
@@ -97,7 +100,11 @@ WIDE_W = "omega_g = 1\nomega_e = 1\nlambda_g = 1\nbeta = 1\nw_min = -1e308\nw_ma
     (["spectrum"], WIDE_W),
     (["evolve"], WIDE_T),
     (["correlation"], WIDE_T),
-], ids=["eta-1e-300", "eta-5e-324", "spectrum-w-span", "evolve-t-span", "correlation-t-span"])
+    (["spectrum"], FAR_W),  # (delta - offset)**2 overflows
+    (["spectrum", "--oracle"], FAR_W),
+    (["spectrum"], FAR_W_WIDE),  # eta**2 + (delta - offset)**2 overflows
+], ids=["eta-1e-300", "eta-5e-324", "spectrum-w-span", "evolve-t-span", "correlation-t-span",
+        "spectrum-far-w", "spectrum-far-w-oracle", "spectrum-far-w-wide-eta"])
 def test_grids_and_windows_beyond_the_float_range_are_refused(tmp_path, args, setup):
     if setup is not None:
         cfg = tmp_path / "run.cfg"

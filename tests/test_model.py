@@ -63,15 +63,13 @@ def test_thermal_validation():
 def test_thermal_limits():
     cold = ThermalParams(math.inf)
     assert cold.boltzmann(1.0) == 0.0
-    assert cold.mean_occupation(1.0) == 0.0
     th = ThermalParams(1.0)
-    assert th.mean_occupation(1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-15)
-    # beta*omega > 700 would overflow expm1; occupation underflows instead
-    assert ThermalParams(1000.0).mean_occupation(1.0) == 0.0
+    assert th.boltzmann(2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert ThermalParams(1000.0).boltzmann(1.0) == 0.0
     with pytest.raises(ValueError, match="omega"):
         th.boltzmann(0.0)
     with pytest.raises(ValueError, match="omega"):
-        th.mean_occupation(-1.0)
+        th.boltzmann(-1.0)
 
 
 # ---------------------------------------------------------------------------
