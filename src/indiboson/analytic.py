@@ -14,7 +14,6 @@ and zero-temperature line weights sum to 2*pi.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,16 +46,16 @@ POLE_TOL = 1e-9
 WINDOW_DECAY = 8.0
 
 _SUM_RULE_TAIL = 1e-10
-# most lines at T = 0, and most excited levels in a thermal line list
-_LINE_CAP = 2000
-# thermal line lists: the oracle's Boltzmann floor, the population allowed
-# in the top eighth of the rows, the first-moment limit (the old 1e-5
-# interpolation target), and the share of the weight below which a line
-# is dropped
-_THERMAL_FLOOR = 1e-12
+_LINE_CAP = 2000  # most lines at T = 0
+# thermal line lists: the weight that aliasing may fold onto column p from
+# p + N_p, the weight allowed in the top eighth of the rows, the first-moment
+# limit, the share below which a line is dropped (the weights carry absolute
+# noise near eps) and the most grid points evaluated
+_FOLD_TOL = 1e-16
 _ROW_TAIL = 1e-13
 _MOMENT_TOL = 1e-5
-_LINE_FLOOR = 1e-16
+_LINE_FLOOR = 10.0 * np.finfo(float).eps
+_GRID_CAP = 1 << 22
 _BLOCK = 256  # lines per block of the windowed sum
 
 
@@ -159,20 +158,17 @@ def excited_mean_energy(p: int, c: Couplings) -> float:
 # return amplitudes
 
 
-def _t0_return_factor(c: Couplings, t):
-    """Vacuum return amplitude up to the e^{-i omega_e t / 2} zero-point
-    phase; scalar or ndarray t.
-
-    The denominator is written as 1 + gamma_minus**2*(1 - e^{-2i theta})
-    (identical to gamma_plus**2 - gamma_minus**2*e^{-2i theta}) so the
-    t = 0 value is exactly 1. Its real part never drops below 1, keeping
-    the principal square root on a single branch.
-    """
+def _vacuum_factors(c: Couplings, t):
+    """(denom, shift) of the vacuum return amplitude denom**-0.5 * e^{-shift},
+    less its zero-point phase e^{-i omega_e t/2}; scalar or ndarray t.
+    denom = 1 + gamma_minus**2*(1 - e^{-2i theta}) (= gamma_plus**2 -
+    gamma_minus**2*e^{-2i theta}) is exactly 1 at t = 0, and its real part
+    never drops below 1, keeping the principal square root on one branch."""
     theta = c.omega_e * t
     em1 = np.exp(-1j * theta)
     denom = 1.0 + c.gamma_minus**2 * (1.0 - em1 * em1)
     shift = c.lambda_g * c.lambda_e * (1.0 - em1) / (c.gamma_plus - c.gamma_minus * em1)
-    return denom**-0.5 * np.exp(-shift)
+    return denom, shift
 
 
 def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
@@ -200,10 +196,12 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
     powers.cumprod(axis=0, out=powers)
     # an overflowed Laguerre value turns the sum into inf or NaN without a
     # warning, and the magnitude check refuses it
+    denom, shift = _vacuum_factors(c, t)
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.sum(powers * at_zero.reshape(column) * half, axis=0)
         value = (
-            _t0_return_factor(c, t)
+            denom**-0.5
+            * np.exp(-shift)
             * np.exp(-0.5j * c.omega_e * t)
             * (d / (1.0 + q)) ** p
             * acc
@@ -224,32 +222,39 @@ def overlap(p: int, c: Couplings, ts) -> np.ndarray:
 # thermal correlation
 
 
+def _thermal_torus(boltz: float, c: Couplings, t, phi) -> np.ndarray:
+    """The thermal generating function on the torus of the excited phase
+    theta = omega_e*t and the ground phase phi (t and phi broadcast): with
+    b = boltz, x = b d e^{i phi} and d, q, lam from :func:`time_coeffs`,
+        F = (1 - b) e^{-shift - lam**2 x/(d (1-q) (x-1+q))}
+            / sqrt(denom (1 - x/(1+q)) (1 - x/(1-q)))
+          = sum_{n,p} (W_np/2pi) e^{-i n theta} e^{i p phi},
+    W_np the weight of the line from ground level p to excited level n.
+    |x| = b |1 -+ q| keeps x 1 - b from the poles x = 1 -+ q. Off the time
+    line the thermal exponent alone can overflow; one exp takes it with -shift."""
+    tc = time_coeffs(c, t)
+    d, q, lam = tc.d_tilde, tc.q_tilde, tc.lam_tilde
+    denom, shift = _vacuum_factors(c, t)
+    x = boltz * d * np.exp(1j * phi)
+    # the normalized pole factors (1 - x/(1 -+ q))/(1 - b) equal 1 exactly
+    # at t = phi = 0, making F(0, 0) = 1 + 0j exact
+    poles = (1.0 - x / (1.0 + q)) / (1.0 - boltz) * ((1.0 - x / (1.0 - q)) / (1.0 - boltz))
+    expo = np.exp(x * (-lam * lam / (d * (1.0 - q))) / (x - (1.0 - q)) - shift)
+    return expo / np.sqrt(poles) * denom**-0.5
+
+
 def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
-    """General couplings: (1 - e^{-beta omega_g}) e^{-i omega_eg t}
-    e^{i(omega_g - omega_e) t/2} K(x) at x = e^{-beta omega_g}
-    e^{i(omega_g - omega_e) t} d', with K(x) = sum_p x**p T_p the generating
-    function of the scaled return amplitudes,
-    K(x) = T0 * ((1 - x/(1+q))*(1 - x/(1-q)))**-1/2 * exp(-x*lam**2/(d*(x-1+q)*(1-q)))."""
+    """G(t) = e^{-i omega_eg t} e^{i(omega_g - omega_e) t/2} F(omega_e t,
+    omega_g t): the thermal generating function :func:`_thermal_torus` on
+    the time line, times the electronic and zero-point phases."""
     boltz = th.boltzmann(c.omega_g)
-    # |x| = boltz * |1 -+ q| exactly, so x stays a distance of at least
-    # 1 - boltz from the poles x = 1 -+ q, inside the convergence disk
     if 1.0 - boltz < POLE_TOL:
         raise PoleError(f"thermal argument within {POLE_TOL:g} of a generating-function "
                         f"pole (beta={th.beta!r})")
-    tc = time_coeffs(c, ts)
-    d_prime, d, q, lam = tc.d_tilde_prime, tc.d_tilde, tc.q_tilde, tc.lam_tilde
-    x = boltz * np.exp(1j * (c.omega_g - c.omega_e) * ts) * d_prime
-    # normalized pole factors (1 - x/(1 -+ q))/(1 - boltz) equal 1 exactly
-    # at t = 0, making G(0) = 1 + 0j exact
-    za = (1.0 - x / (1.0 + q)) / (1.0 - boltz)
-    zb = (1.0 - x / (1.0 - q)) / (1.0 - boltz)
-    expo = np.exp(-x * lam * lam / (d * ((x - 1.0 + q) * (1.0 - q))))
     return (
         np.exp(-1j * c.omega_eg * ts)
         * np.exp(0.5j * (c.omega_g - c.omega_e) * ts)
-        * _t0_return_factor(c, ts)
-        * expo
-        * (za * zb) ** -0.5
+        * _thermal_torus(boltz, c, ts, c.omega_g * ts)
     )
 
 
@@ -270,35 +275,6 @@ def correlation(th: ThermalParams, c: Couplings, ts) -> np.ndarray:
 # spectra
 
 
-def _franck_condon_rows(c: Couplings, cols: int):
-    """Endless generator of the rows a[n, :cols] = sqrt(2*pi)*<n_e|p_g>,
-    n = 0, 1, ..., each a new array (Sharp & Rosenstock 1964; Doktorov,
-    Malkin & Man'ko 1977). Row 0 is <0_e|b_e^dag = 0 for b_e =
-    gamma_plus*b_g + gamma_minus*b_g^dag - lambda_e,
-        gamma_plus*sqrt(p+1)*a[0, p+1] = lambda_e*a[0, p] - gamma_minus*sqrt(p)*a[0, p-1],
-    and row n+1 is <n_e|b_g|p_g> = sqrt(p)*a[n, p-1] for b_g =
-    gamma_plus*b_e - gamma_minus*b_e^dag + lambda_g, with a[n, -1] = 0,
-        gamma_plus*sqrt(n+1)*a[n+1, p] = sqrt(p)*a[n, p-1] + gamma_minus*sqrt(n)*a[n-1, p]
-                                         - lambda_g*a[n, p].
-    Column 0 is exact to rounding; in column p the sweep amplifies rounding
-    by up to sqrt(binomial(p, k)), all of it along the lower columns.
-    """
-    gp, gm = c.gamma_plus, c.gamma_minus
-    row = np.empty(cols)
-    row[0] = math.sqrt(2.0 * math.pi / gp) * math.exp(-0.5 * c.lambda_e * c.lambda_g / gp)
-    for p in range(1, cols):
-        lower = gm * math.sqrt(p - 1) * row[p - 2] if p > 1 else 0.0
-        row[p] = (c.lambda_e * row[p - 1] - lower) / (gp * math.sqrt(p))
-    root_p = np.sqrt(np.arange(1, cols))
-    prev = np.zeros(cols)
-    for n in itertools.count():
-        yield row
-        # the leading 0.0 keeps column 0 bit for bit the scalar recursion
-        raised = np.concatenate(([0.0], root_p * row[:-1]))
-        nxt = (raised + gm * math.sqrt(n) * prev - c.lambda_g * row) / (gp * math.sqrt(n + 1))
-        prev, row = row, nxt
-
-
 def _line_list(offsets, weights) -> np.recarray:
     """A line list: a record array of offsets from the gap and weights,
     read as columns (``lines.offset``) or line by line."""
@@ -309,79 +285,98 @@ def spectrum_zero_T(c: Couplings) -> np.recarray:
     """Zero-temperature absorption line list.
 
     Line n sits at offset (omega_e - omega_g)/2 + n*omega_e from the gap
-    with weight a[n]**2, a[n] = sqrt(2*pi)*<n_e|0_g> from column p = 0 of
-    :func:`_franck_condon_rows` (Poisson weights at equal frequencies),
-    until the weights reach 2*pi*(1 - 1e-10). A first weight that
-    underflows to zero, or 2000 lines short of the sum rule, raise
-    :class:`LineListError`.
+    with weight a[n]**2, a[n] = sqrt(2*pi)*<n_e|0_g> (Poisson weights at
+    equal frequencies), until the weights reach 2*pi*(1 - 1e-10). As
+    b_g = gamma_plus*b_e - gamma_minus*b_e^dag + lambda_g annihilates |0_g>
+    (Sharp & Rosenstock 1964; Doktorov, Malkin & Man'ko 1977),
+        gamma_plus*sqrt(n+1)*a[n+1] = gamma_minus*sqrt(n)*a[n-1] - lambda_g*a[n],
+    which keeps each weight exact relative to itself, as the Fourier
+    coefficients of :func:`thermal_lines` are not. A first weight that
+    underflows, or 2000 lines short of the sum rule, raise LineListError.
     """
+    gp, gm, lam = c.gamma_plus, c.gamma_minus, c.lambda_g
     target = 2.0 * math.pi * (1.0 - _SUM_RULE_TAIL)
+    a_prev, a_cur = 0.0, math.sqrt(2.0 * math.pi / gp) * math.exp(-0.5 * c.lambda_e * lam / gp)
+    if a_cur * a_cur == 0.0:
+        # the first weight is the whole weight scale, which can only vanish
+        # by underflow (exp(-S) for S beyond ~745)
+        raise LineListError("spectral weight 0 underflows to zero, so the line list "
+                            "cannot reach the sum rule")
     weights: list[float] = []
     total = 0.0
-    for n, row in enumerate(itertools.islice(_franck_condon_rows(c, 1), _LINE_CAP)):
-        w = float(row[0] * row[0])
-        if w == 0.0 and n == 0:
-            # the first weight is the whole weight scale, which can only
-            # vanish by underflow (exp(-S) for S beyond ~745)
-            raise LineListError("spectral weight 0 underflows to zero, so the line list "
-                                "cannot reach the sum rule")
-        weights.append(w)
-        total += w
+    for n in range(_LINE_CAP):
+        weights.append(a_cur * a_cur)
+        total += weights[-1]
         if total >= target:
             offsets = 0.5 * (c.omega_e - c.omega_g) + np.arange(n + 1) * c.omega_e
             return _line_list(offsets, weights)
+        a_prev, a_cur = a_cur, (gm * math.sqrt(n) * a_prev - lam * a_cur) / (gp * math.sqrt(n + 1))
     raise LineListError(f"line list did not reach the sum rule within {_LINE_CAP} lines")
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 2**i * 3**j * 5**k >= n, a fast FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # times the least power of 2 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.recarray, float]:
     """Thermal absorption lines as (lines, moment_residual): a line list of
     distinct offsets from the gap, ascending, with their summed weights.
 
-    Ground level p, of Boltzmann weight w_p = (1 - e^{-beta omega_g})
-    e^{-p beta omega_g} >= 1e-12, reaches excited level n at offset
-    omega_e*(n + 1/2) - omega_g*(p + 1/2) with weight 2*pi*w_p*<n_e|p_g>**2,
-    from the rows of :func:`_franck_condon_rows` after one QR factorisation
-    in column order, which removes the rounding the sweep amplifies. The
-    rows start at the hottest column's mean level plus ten standard
-    deviations and double until their top eighth holds at most 1e-13 of
-    the Boltzmann-weighted population. Lines below 1e-16 of the total
-    weight are dropped and equal offsets merged.
+    Ground level p, of Boltzmann weight w_p = (1 - b) b**p, b =
+    e^{-beta omega_g}, reaches excited level n at offset omega_e*(n + 1/2)
+    - omega_g*(p + 1/2) with weight W_np = 2*pi*w_p*<n_e|p_g>**2, a Fourier
+    coefficient of :func:`_thermal_torus`. One FFT of an N_n x N_p grid,
+        W = 2*pi*irfft2(F(2*pi*j/N_n, -2*pi*k/N_p), s=(N_n, N_p)),
+    gives every weight to about eps*2*pi absolute, since |F| <= 1. Aliasing
+    folds column p + N_p onto p, so b**N_p <= 1e-16. N_n grows by 1.25
+    until the top eighth of the row marginal sum_p W_np, a 1-D FFT of
+    F(theta, 0), holds at most 1e-13. A grid past 2**22 points raises
+    LineListError before it is evaluated. Lines below 10 eps of the total
+    are dropped and equal offsets merged.
 
-    Each column's first moment sum_n n*<n_e|p_g>**2 must equal
-    gamma_plus**2*p + gamma_minus**2*(p+1) + lambda_e**2; the
-    Boltzmann-weighted relative deviation reads 2-4 times the spectrum's
-    error relative to its peak. Above 1e-5, past 2000 levels, or when the
-    sweep overflows, :class:`LineListError` is raised.
+    Each column's first moment sum_n n*W_np/(2*pi) must equal w_p*(
+    gamma_plus**2*p + gamma_minus**2*(p+1) + lambda_e**2); the deviations,
+    each over that level plus one, are summed and above 1e-5 raise
+    LineListError.
     """
     boltz = th.boltzmann(c.omega_g)
-    pops = (1.0 - boltz) * boltz ** np.arange(_LINE_CAP + 1)
-    cols = int(np.count_nonzero(pops >= _THERMAL_FLOOR))
-    refusal = LineListError(f"thermal lines at beta={th.beta!r} need > {_LINE_CAP} levels")
-    if not 0 < cols <= _LINE_CAP:
-        raise refusal
-    pops = pops[:cols]
+    refusal = f"thermal lines at beta={th.beta!r} need a grid of more than {_GRID_CAP} points"
+    # b**N_p <= 1e-16; a beta*omega_g that underflows stands for the smallest one
+    cols = math.log(_FOLD_TOL) / -max(th.beta * c.omega_g, 1e-300)
+    if cols > _GRID_CAP:
+        raise LineListError(f"{refusal} ({cols:.3g} columns)")
+    n_p = _fft_size(max(1, math.ceil(cols)))
+    # start at the mean level of the column whose b**p is the row tail
+    reach = cols * math.log(_ROW_TAIL) / math.log(_FOLD_TOL)
     gp2, gm2 = c.gamma_plus**2, c.gamma_minus**2
-    mean = gp2 * (cols - 1) + gm2 * cols + c.lambda_e**2
-    rows = min(int(mean + 10.0 * math.sqrt(mean + 1.0)) + 1, _LINE_CAP)
-    sweep, amps = _franck_condon_rows(c, cols), np.empty((0, cols))
+    n_n = _fft_size(16 + math.ceil(gp2 * reach + gm2 * (reach + 1.0) + c.lambda_e**2))
     while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            amps = np.vstack([amps, *itertools.islice(sweep, rows - len(amps))])
-        if not np.isfinite(amps).all():
-            raise LineListError(f"thermal line sweep at beta={th.beta!r} overflows "
-                                f"within {rows} levels")
-        probs = np.linalg.qr(amps)[0] ** 2
-        if pops @ probs[rows - rows // 8 :].sum(axis=0) <= _ROW_TAIL:
+        if n_n * n_p > _GRID_CAP:
+            raise LineListError(f"{refusal} ({n_n} x {n_p})")
+        t = (2.0 * math.pi / (n_n * c.omega_e)) * np.arange(n_n // 2 + 1)
+        rows = np.fft.irfft(_thermal_torus(boltz, c, t, 0.0), n_n)
+        if rows[n_n - n_n // 8 :].sum() <= _ROW_TAIL:
             break
-        if rows == _LINE_CAP:
-            raise refusal
-        rows = min(2 * rows, _LINE_CAP)
-    n, p = np.arange(rows), np.arange(cols)
+        n_n = _fft_size(math.ceil(1.25 * n_n))
+    t = (2.0 * math.pi / (n_n * c.omega_e)) * np.arange(n_n)[:, None]
+    phi = (-2.0 * math.pi / n_p) * np.arange(n_p // 2 + 1)
+    weights = 2.0 * math.pi * np.fft.irfft2(_thermal_torus(boltz, c, t, phi), s=(n_n, n_p))
+    n, p = np.arange(n_n), np.arange(n_p)
     expect = gp2 * p + gm2 * (p + 1) + c.lambda_e**2
-    residual = float(pops @ (np.abs(n @ probs - expect) / (expect + 1.0)))
+    pops = (1.0 - boltz) * boltz**p
+    residual = float(np.sum(np.abs(n @ weights / (2.0 * math.pi) - pops * expect)
+                            / (expect + 1.0)))
     if not residual <= _MOMENT_TOL:  # a NaN fails too
         raise LineListError(f"thermal first-moment residual {residual:.3g} > {_MOMENT_TOL:g}")
-    weights = (2.0 * math.pi * pops) * probs
     offsets = 0.5 * (c.omega_e - c.omega_g) + c.omega_e * n[:, None] - c.omega_g * p
     keep = weights >= _LINE_FLOOR * weights.sum()
     offsets, where = np.unique(offsets[keep], return_inverse=True)

@@ -26,8 +26,8 @@ class TruncationError(RuntimeError):
 
 class LineListError(RuntimeError):
     """Raised when a line list misses its accuracy target: the first T = 0
-    weight underflows, the list needs more levels than the cap allows, or
-    a thermal list overflows in its sweep or fails its first-moment check."""
+    weight underflows, the T = 0 list needs more lines than its cap, or a
+    thermal list needs a grid past its cap or fails its first-moment check."""
 
 
 class OracleError(RuntimeError):

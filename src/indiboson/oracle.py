@@ -156,6 +156,21 @@ class Propagator:
         weights = self.modes[p, :] ** 2
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
 
+    def franck_condon_weights(self, count: int) -> np.ndarray:
+        """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
+        a count reaching into the buffer, and weights that put more than
+        BUFFER_TOL on it: sum_n weight_n * (buffer population of eigenstate n)."""
+        basis = self.basis
+        if count > basis.buffer_start:
+            raise TruncationError(f"count={count} lines reach past the buffer start "
+                                  f"{basis.buffer_start} (dim={basis.dim}); increase the basis")
+        weights = 2.0 * np.pi * self.modes[0, :count] ** 2
+        leak = float(weights @ np.sum(self.modes[basis.buffer_start :, :count] ** 2, axis=0))
+        if leak > BUFFER_TOL:
+            raise TruncationError(f"line weights put weighted buffer population {leak:.3e} "
+                                  f"past the basis edge (dim={basis.dim}); increase the basis")
+        return weights
+
 
 def _is_diagonal(op: np.ndarray) -> bool:
     """True for a real floating square op with no nonzero entry off the
@@ -296,19 +311,9 @@ def thermal_correlation(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
 
 
 def franck_condon_weights(c: Couplings, basis: TruncatedBasis, count: int) -> np.ndarray:
-    """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
-    a count reaching into the buffer, and weights that put more than
-    BUFFER_TOL on it: sum_n weight_n * (buffer population of eigenstate n)."""
-    if count > basis.buffer_start:
-        raise TruncationError(f"count={count} lines reach past the buffer start "
-                              f"{basis.buffer_start} (dim={basis.dim}); increase the basis")
-    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
-    weights = 2.0 * np.pi * prop.modes[0, :count] ** 2
-    leak = float(weights @ np.sum(prop.modes[basis.buffer_start :, :count] ** 2, axis=0))
-    if leak > BUFFER_TOL:
-        raise TruncationError(f"line weights put weighted buffer population {leak:.3e} "
-                              f"past the basis edge (dim={basis.dim}); increase the basis")
-    return weights
+    """:meth:`Propagator.franck_condon_weights` of the excited-surface
+    Hamiltonian in ``basis``."""
+    return Propagator(build_excited_hamiltonian(c, basis), basis).franck_condon_weights(count)
 
 
 def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> np.recarray:

@@ -33,7 +33,6 @@ from .oracle import (
     TruncatedBasis,
     build_excited_hamiltonian,
     excited_vacuum,
-    franck_condon_weights,
     observable,
     thermal_correlation,
 )
@@ -208,7 +207,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     def line_weights():
         lst = zero_T_lines()
         count = min(len(lst), basis.buffer_start)
-        ref = franck_condon_weights(c, basis, count)
+        ref = oracle()[1].franck_condon_weights(count)
         note = f"{count} lines" + ("" if count == len(lst) else f" of {len(lst)}")
         return lst.weight[:count], ref, note
 

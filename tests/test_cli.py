@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import indiboson
-from indiboson import cli, validation
+from indiboson import cli, oracle, validation
 from indiboson.cli import build_run_config, main, parse_config_text
 from indiboson.analytic import spectrum_zero_T
 from indiboson.errors import (ConfigError, LineListError, OracleError, PoleError,
@@ -447,6 +448,38 @@ def test_line_list_failure_is_a_numerical_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("ratio, lam, beta", [
+    *((ratio, lam, 0.05) for ratio in (0.5, 1.0, 3.0) for lam in (0.0, 3.0)),
+    (0.01, 1.0, 1.0), (100.0, 1.0, 1.0),  # strongly squeezed
+])
+def test_hot_and_squeezed_spectra_print(tmp_path, capsys, ratio, lam, beta):
+    # the line weights are Fourier coefficients of a function bounded by 1,
+    # so hot columns amplify no rounding
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(f"omega_g = 1\nomega_e = {ratio!r}\nlambda_g = {lam!r}\n"
+                   f"beta = {beta!r}\nw_points = 101\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["spectrum", "--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0, err
+    meta = json.loads(out)["meta"]
+    assert meta["lines"] > 0
+    assert meta["moment_residual"] <= 1e-12
+
+
+def test_thermal_grid_past_the_cap_is_a_numerical_error(tmp_path, capsys):
+    # b**N_p <= 1e-16 at beta*omega_g = 1e-3 needs ~37,000 columns
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("omega_g = 1\nomega_e = 2\nlambda_g = 1\nbeta = 1e-3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["spectrum", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error: thermal lines at beta=0.001 need a grid of more than")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("name, message", [
     ("build_excited_hamiltonian", "assembled Hamiltonian is not Hermitian"),
     ("observable", "expectation value has imaginary residue 0.001"),
@@ -510,12 +543,14 @@ def test_validate_passes_at_default_sizes(capsys):
 
 
 def test_validate_diagonalises_once_per_set(monkeypatch):
-    built = []
+    # every Propagator build, in validation or inside an oracle function,
+    # counted by basis size
+    built = Counter()
+    init = oracle.Propagator.__init__
 
-    class Counting(validation.Propagator):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def counting_init(self, hamiltonian, basis):
+        built[basis.dim] += 1
+        init(self, hamiltonian, basis)
 
     listed = []
 
@@ -523,13 +558,14 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
         listed.append(1)
         return spectrum_zero_T(c)
 
-    monkeypatch.setattr(validation, "Propagator", Counting)
+    monkeypatch.setattr(oracle.Propagator, "__init__", counting_init)
     monkeypatch.setattr(validation, "spectrum_zero_T", counting_lines)
     specs = [("a", build_run_config({"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 1.0}).params,
               1.0, 0)]
     report = validation.run_validation(specs, oracle_dim=64, thermal_dim=256)
     assert report.all_passed
-    assert len(built) == len(listed) == 1
+    assert built == {64: 1, 256: 1}
+    assert len(listed) == 1
 
     def broken(c, basis):
         raise OracleError("assembled Hamiltonian is not Hermitian")
@@ -538,7 +574,7 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     rows = validation.run_validation(specs, oracle_dim=64, thermal_dim=256).rows
     failed = {r.check for r in rows if not r.passed}
     assert failed == {"eigenvalue_ladder", "return_amplitude", "phonon_number",
-                      "excited_energy"}
+                      "excited_energy", "line_weights"}
     assert all("not Hermitian" in r.note for r in rows if not r.passed)
 
     def no_lines(c):

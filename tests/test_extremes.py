@@ -51,14 +51,14 @@ def run_in_process(args):
 @given(
     ratio=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
     lam=st.floats(0.0, 10.0),
-    beta=st.floats(0.2, 100.0) | st.just(math.inf),
+    beta=st.floats(0.05, 100.0) | st.just(math.inf),
     p=st.sampled_from([0, 1, 5, 40]),
     t_min=st.sampled_from([0.0, 1.0]),
 )
 # 1 - e^{-beta omega_g} rounds to 0 on a grid without t = 0
 @example(ratio=2.0, lam=1.0, beta=1e-17, p=0, t_min=1.0)
 @example(ratio=2.0, lam=1.0, beta=1e-13, p=0, t_min=0.0)
-# the thermal line sweep overflows
+# the thermal line grid passes its cap
 @example(ratio=2.6448321811154014, lam=9.088184001853248, beta=0.019804782243742554,
          p=0, t_min=0.0)
 # the Laguerre recurrences overflow into NaN return amplitudes

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from indiboson import analytic
 from indiboson.analytic import (
     spectrum_finite_T,
     spectrum_zero_T,
@@ -255,7 +256,7 @@ def test_thermal_spectrum_matches_broadened_reference_lines(mixed):
 )
 def test_thermal_spectrum_matches_oracle_lines_in_the_same_window(ratio, lam, beta):
     # the hottest and most strongly coupled corners of the benchmark box,
-    # where the forward sweep amplifies rounding the most
+    # where the line list has the most rows and columns
     c = make(omega_e=ratio, lam=lam)
     th = ThermalParams(beta)
     w = np.linspace(-2.0 * ratio, 8.0 * ratio, 801)
@@ -263,6 +264,18 @@ def test_thermal_spectrum_matches_oracle_lines_in_the_same_window(ratio, lam, be
     got = spectrum_finite_T(th, c, w, eta=eta)
     ref = window_broadened(w, thermal_line_list(th, c, TruncatedBasis(512)), eta, 8.0 / eta)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(ref)
+
+
+def test_hot_spectrum_matches_oracle_lines_in_the_same_window():
+    # hotter than the benchmark box: ~490 Boltzmann columns, ~65,000 oracle
+    # lines; the oracle drops lines below 1e-12, dims 1024 and 1536 agree
+    c = make(omega_e=1.0, lam=3.0)
+    th = ThermalParams(0.05)
+    w = np.linspace(-2.0, 8.0, 201)
+    eta = 0.01
+    got = spectrum_finite_T(th, c, w, eta=eta)
+    ref = window_broadened(w, thermal_line_list(th, c, TruncatedBasis(1024)), eta, 8.0 / eta)
+    assert np.max(np.abs(got - ref)) <= 5e-9 * np.max(ref)
 
 
 @settings(max_examples=30)
@@ -305,22 +318,29 @@ def test_every_line_list_has_one_record_shape(mixed):
 
 
 def test_thermal_line_list_refuses_what_it_cannot_reach():
-    with pytest.raises(LineListError, match="2000"):
+    # b**N_p <= 1e-16 at beta*omega_g = 1e-3 needs ~37,000 columns
+    with pytest.raises(LineListError, match=r"grid of more than 4194304 points"):
         thermal_lines(ThermalParams(1e-3), make(omega_e=2.0, lam=1.0))
-    # a Huang-Rhys factor of 900 needs ~1300 levels: the rows grow to the
-    # 2000-level cap instead of doubling past it
+    # a Huang-Rhys factor of 900 needs ~1300 levels; off the time line the
+    # thermal exponent alone reaches ~970, past exp's range
     lines, residual = thermal_lines(ThermalParams(1.0), make(lam=30.0))
     assert residual <= 1e-9
     assert lines.weight.sum() == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_thermal_sweep_overflow_is_refused_when_it_happens():
-    # ~1200 hot columns at a Huang-Rhys factor of 83: rounding amplified
-    # along the forward sweep overflows a double; the overflow is named
-    # before any non-finite row reaches the QR factorisation
+def test_thermal_grid_past_the_cap_is_refused_unevaluated(monkeypatch):
+    # ~1900 hot columns at a Huang-Rhys factor of 83: the first row count
+    # tried already passes the cap, and the grid is named unevaluated
+    torus = analytic._thermal_torus
+
+    def rows_only(boltz, c, t, phi):
+        assert np.ndim(t) <= 1, "a 2-D grid was evaluated"
+        return torus(boltz, c, t, phi)
+
+    monkeypatch.setattr(analytic, "_thermal_torus", rows_only)
     c = make(omega_e=2.6448321811154014, lam=9.088184001853248)
-    with pytest.raises(LineListError, match="overflows"):
+    with pytest.raises(LineListError, match=r"grid of more than 4194304 points \(\d+ x 1875\)"):
         thermal_lines(ThermalParams(0.019804782243742554), c)
 
 
