@@ -71,25 +71,13 @@ def _check_magnitude(name: str, value):
 
 @dataclass(frozen=True)
 class OverlapValue:
-    """Return amplitude of ground-surface number state p at time t; for an
-    ndarray of times ``value`` is an array of the same shape."""
+    """Return amplitude of a ground-surface number state, at one time or
+    at an ndarray of times (``value`` then has the times' shape)."""
 
-    p: int
-    t: float | np.ndarray
     value: complex | np.ndarray
 
     def __post_init__(self):
         _check_magnitude("overlap", self.value)
-
-    @property
-    def probability(self) -> float | np.ndarray:
-        return abs(self.value) ** 2
-
-
-def _overlap_value(p: int, t, value) -> OverlapValue:
-    if isinstance(value, np.ndarray):
-        return OverlapValue(p=p, t=t, value=value)
-    return OverlapValue(p=p, t=float(t), value=complex(value))
 
 
 def _require_equal_frequencies(c: Couplings, op: str):
@@ -206,7 +194,7 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
             * (d / (1.0 + q)) ** p
             * acc
         )
-    return _overlap_value(p, t, value)
+    return OverlapValue(value)
 
 
 # perfbench imports this name; removable with ROADMAP item 1

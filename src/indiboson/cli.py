@@ -61,13 +61,11 @@ from .validation import THERMAL_ORACLE_DIM, run_validation
 
 __all__ = ["main", "build_parser", "parse_config_text", "build_run_config", "RunConfig"]
 
-_FLOAT_KEYS = {
+_ALL_KEYS = {
     "epsilon_g", "epsilon_e", "omega_g", "omega_e", "shift_l", "lambda_g",
     "beta", "t_min", "t_max", "w_min", "w_max", "eta",
+    "initial_p", "t_points", "w_points", "oracle_dim", "format", "out",
 }
-_INT_KEYS = {"initial_p", "t_points", "w_points", "oracle_dim"}
-_STR_KEYS = {"format", "out"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -247,9 +245,7 @@ def build_run_config(raw: dict) -> RunConfig:
 
 
 def _plain(value):
-    """One cell or meta value as a plain bool, int, float or str."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
+    """One cell or meta value as a plain int, float or str."""
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -259,8 +255,6 @@ def _plain(value):
 
 def _fmt_cell(value) -> str:
     value = _plain(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     text = str(value)

@@ -156,6 +156,20 @@ class Propagator:
         weights = self.modes[p, :] ** 2
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
 
+    def thermal_correlation(self, th: ThermalParams, c: Couplings, ts) -> np.ndarray:
+        """Thermal dipole correlation from the truncated basis:
+        sum_p w_p e^{-i omega_eg t} e^{i omega_g t (p+1/2)}
+        <p| e^{-i (H_e - eps_e) t} |p>, for the Hamiltonian of ``c``."""
+        ts = np.asarray(ts, dtype=float)
+        weights = _thermal_weights(th, c, self.basis)
+        evib = self.energies - c.epsilon_e
+        ps = np.arange(weights.size)
+        ret = (self.modes[: weights.size, :] ** 2) @ np.exp(-1j * np.outer(evib, ts))
+        phases = np.exp(1j * c.omega_g * np.outer(ps + 0.5, ts))
+        _check_thermal_buffer(self, weights, ts)
+        g = (weights[:, None] * phases * ret).sum(axis=0)
+        return g * np.exp(-1j * c.omega_eg * ts)
+
     def franck_condon_weights(self, count: int) -> np.ndarray:
         """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
         a count reaching into the buffer, and weights that put more than
@@ -185,32 +199,25 @@ def _is_diagonal(op: np.ndarray) -> bool:
 
 
 def observable(state: OracleState, op: np.ndarray) -> float:
-    """<state|op|state> for Hermitian op; rejects non-finite operators and
-    nonreal results. A real op is checked as max|op - op.T| and applied in
-    real arithmetic; a real diagonal op passes that check by construction,
-    so only its diagonal is checked for finiteness."""
+    """<state|op|state> for a real symmetric op; refuses a complex op, a
+    non-finite op and a nonreal result. The op is checked as max|op - op.T|
+    and applied in real arithmetic; a diagonal op passes that check by
+    construction, so only its diagonal is checked for finiteness."""
     op = np.asarray(op)
-    real = not np.iscomplexobj(op)
-    diagonal = real and _is_diagonal(op)
+    if np.iscomplexobj(op):
+        raise ValueError("operator is complex; observable takes real symmetric operators")
+    diagonal = _is_diagonal(op)
     if diagonal:
         amax = float(np.max(np.abs(np.diagonal(op))))  # NaN propagates
-    elif real:
-        amax = max(abs(float(op.max())), abs(float(op.min())))  # NaN propagates
     else:
-        amax = float(np.max(np.abs(op)))
+        amax = max(abs(float(op.max())), abs(float(op.min())))  # NaN propagates
     if not math.isfinite(amax):
         raise ValueError("operator is not finite")
-    if diagonal:
-        asym = 0.0
-    elif real:
-        asym = float(np.max(op - op.T))  # op - op.T is antisymmetric: max is max|.|
-    else:
-        asym = float(np.max(np.abs(op - op.conj().T)))
+    asym = 0.0 if diagonal else float(np.max(op - op.T))  # antisymmetric: max is max|.|
     # the comparisons are written so that a NaN fails them
     if not asym <= 1e-13 * max(1.0, amax):
         raise ValueError("operator is not Hermitian")
-    applied = _real_matvec(op, state.amplitudes) if real else op @ state.amplitudes
-    value = complex(np.vdot(state.amplitudes, applied))
+    value = complex(np.vdot(state.amplitudes, _real_matvec(op, state.amplitudes)))
     if not abs(value.imag) <= 1e-10 * max(1.0, abs(value.real)):
         raise OracleError(f"expectation value has imaginary residue {value.imag!r}")
     return value.real
@@ -295,19 +302,9 @@ def _check_thermal_buffer(prop: Propagator, weights: np.ndarray, ts: np.ndarray)
 
 def thermal_correlation(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
                         ts) -> np.ndarray:
-    """Thermal dipole correlation from the truncated basis:
-    sum_p w_p e^{-i omega_eg t} e^{i omega_g t (p+1/2)}
-    <p| e^{-i (H_e - eps_e) t} |p>."""
-    ts = np.asarray(ts, dtype=float)
-    weights = _thermal_weights(th, c, basis)
-    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
-    evib = prop.energies - c.epsilon_e
-    ps = np.arange(weights.size)
-    ret = (prop.modes[: weights.size, :] ** 2) @ np.exp(-1j * np.outer(evib, ts))
-    phases = np.exp(1j * c.omega_g * np.outer(ps + 0.5, ts))
-    _check_thermal_buffer(prop, weights, ts)
-    g = (weights[:, None] * phases * ret).sum(axis=0)
-    return g * np.exp(-1j * c.omega_eg * ts)
+    """:meth:`Propagator.thermal_correlation` of the excited-surface
+    Hamiltonian in ``basis``."""
+    return Propagator(build_excited_hamiltonian(c, basis), basis).thermal_correlation(th, c, ts)
 
 
 def franck_condon_weights(c: Couplings, basis: TruncatedBasis, count: int) -> np.ndarray:
@@ -332,10 +329,15 @@ def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis) ->
 def window_broadened(w_offsets, lines, eta: float, t_max: float) -> np.ndarray:
     """Line list at offsets from the gap, each line through the finite
     damped window weight/(2*pi) * 2*Re[(exp(s*t_max) - 1)/s] with
-    s = i*(w - offset) - eta."""
+    s = i*(w - offset) - eta; 256 lines at a time, exp(s*t_max) factored as
+    e^{-eta t_max} e^{i w t_max} e^{-i offset t_max}."""
     w = np.asarray(w_offsets, dtype=float)
-    out = np.zeros(w.shape)
-    for ln in lines:
-        s = 1j * (w - ln.offset) - eta
-        out += ln.weight / np.pi * ((np.exp(s * t_max) - 1.0) / s).real
-    return out
+    col = w.reshape(-1, 1)
+    w_phase = math.exp(-eta * t_max) * np.exp(1j * t_max * col)
+    out = np.zeros(col.shape[0])
+    for start in range(0, len(lines), 256):
+        block = lines[start : start + 256]
+        s = 1j * (col - block.offset) - eta
+        grow = w_phase * np.exp(-1j * t_max * block.offset)
+        out += ((grow - 1.0) / s).real @ (block.weight / np.pi)
+    return out.reshape(w.shape)

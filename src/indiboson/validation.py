@@ -32,9 +32,9 @@ from .oracle import (
     Propagator,
     TruncatedBasis,
     build_excited_hamiltonian,
+    destroy,
     excited_vacuum,
     observable,
-    thermal_correlation,
 )
 
 __all__ = ["THERMAL_ORACLE_DIM", "ValidationRow", "ValidationReport", "run_validation"]
@@ -72,7 +72,7 @@ def polaron_state_check(lam: float, p_max: int, dim: int) -> float:
     """
     if dim < p_max + 2:
         raise ValueError(f"dim must exceed p + 1, got dim={dim}, p={p_max}")
-    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    b = destroy(TruncatedBasis(dim))
     # exp(lam*(b^dag - b)) = exp(-i*g) for the Hermitian generator
     # g = i*lam*(b^dag - b), exponentiated once through its eigenbasis
     energies, modes = np.linalg.eigh(1j * lam * (b.T - b))
@@ -171,11 +171,12 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     number = np.diag(np.arange(dim, dtype=float))
 
     @cache
-    def oracle():
-        # one diagonalisation per parameter set; a failure here raises
-        # inside each row that asks, so it becomes that row's failure
-        h = build_excited_hamiltonian(c, basis)
-        return h, Propagator(h, basis)
+    def oracle(size):
+        # one diagonalisation per parameter set and basis size; a failure
+        # here raises inside each row that asks, as that row's failure
+        sized = TruncatedBasis(size)
+        h = build_excited_hamiltonian(c, sized)
+        return h, Propagator(h, sized)
 
     @cache
     def zero_T_lines():  # one line list per parameter set, like oracle()
@@ -183,7 +184,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
 
     def evolved(op, times):
         """<op> in number state p0 evolved by the oracle to each time."""
-        prop = oracle()[1]
+        prop = oracle(dim)[1]
         state = OracleState.number_state(basis, p0)
         return np.array([observable(prop.evolve(state, t), op) for t in times])
 
@@ -194,26 +195,26 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     def ladder():
         n_chk = max(2, dim // 4)
         expected = c.epsilon_e + c.omega_e * (np.arange(n_chk) + 0.5)
-        return expected, oracle()[1].energies[:n_chk], f"n <= {n_chk - 1}"
+        return expected, oracle(dim)[1].energies[:n_chk], f"n <= {n_chk - 1}"
 
     def return_amplitude():
-        ref = oracle()[1].return_amplitude(p0, ts, energy_offset=c.epsilon_e)
+        ref = oracle(dim)[1].return_amplitude(p0, ts, energy_offset=c.epsilon_e)
         return overlap(p0, c, ts), ref, f"p={p0}, {ts.size} times"
 
     def thermal():
-        ref = thermal_correlation(th, c, TruncatedBasis(thermal_dim), ts)
+        ref = oracle(thermal_dim)[1].thermal_correlation(th, c, ts)
         return correlation(th, c, ts), ref, f"dim={thermal_dim}"
 
     def line_weights():
         lst = zero_T_lines()
         count = min(len(lst), basis.buffer_start)
-        ref = oracle()[1].franck_condon_weights(count)
+        ref = oracle(dim)[1].franck_condon_weights(count)
         note = f"{count} lines" + ("" if count == len(lst) else f" of {len(lst)}")
         return lst.weight[:count], ref, note
 
     equal_frequency_checks = [
         ("excited_energy", 1e-8,
-         lambda: (excited_mean_energy(p0, c), evolved(oracle()[0], ts[::20]), "conserved")),
+         lambda: (excited_mean_energy(p0, c), evolved(oracle(dim)[0], ts[::20]), "conserved")),
         ("polaron_identity", 1e-8,
          lambda: (polaron_state_check(c.lambda_g, 3, dim), 0.0, f"p <= 3, dim {dim}")),
     ]

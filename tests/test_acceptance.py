@@ -121,7 +121,7 @@ def test_4_general_return_amplitude_vs_reference():
     assert worst <= 1e-6, f"max deviation {worst:.3e}"
     # quarter-period squeeze spot: 1/(1 + 2*gamma_minus**2) = 0.8
     c2 = _couplings("fig2-quadratic")
-    spot = overlap_quadratic(0, c2, math.pi / (2.0 * c2.omega_e)).probability
+    spot = abs(overlap_quadratic(0, c2, math.pi / (2.0 * c2.omega_e)).value) ** 2
     assert spot == pytest.approx(0.8, abs=1e-6)
     # with equal frequencies the general route must collapse to the
     # displaced-mode closed form

@@ -90,14 +90,15 @@ times = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
 def test_result_containers_reject_unphysical_magnitudes(monkeypatch, displaced):
     with pytest.raises(ValueError, match="overlap magnitude"):
-        OverlapValue(p=0, t=0.0, value=1.1 + 0.0j)
-    assert OverlapValue(p=0, t=0.0, value=0.6j).probability == pytest.approx(0.36)
-    # an array of times is checked as a whole: one bad entry is enough
+        OverlapValue(value=1.1 + 0.0j)
+    assert abs(OverlapValue(value=0.6j).value) ** 2 == pytest.approx(0.36)
+    # the values at an array of times are checked as a whole: one bad
+    # entry is enough
     ts = np.array([0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="overlap magnitude"):
-        OverlapValue(p=0, t=ts, value=np.array([1.0, 0.3j, 1.1]))
-    ok = OverlapValue(p=0, t=ts, value=np.array([1.0, 0.6j, -0.5]))
-    assert ok.probability == pytest.approx([1.0, 0.36, 0.25])
+        OverlapValue(value=np.array([1.0, 0.3j, 1.1]))
+    ok = OverlapValue(value=np.array([1.0, 0.6j, -0.5]))
+    assert abs(ok.value) ** 2 == pytest.approx([1.0, 0.36, 0.25])
     # the correlation carries the same whole-array guard
     monkeypatch.setattr(
         analytic, "_correlation_quadratic_values", lambda th, c, ts: np.full(ts.shape, -1.2 + 0j)
@@ -211,7 +212,7 @@ def test_overlap_starts_at_unity(displaced, squeezed, mixed):
 def test_overlap_linear_magnitude_bounded(lam, t, p):
     c = make(lam=lam)
     v = overlap_quadratic(p, c, t)  # the container itself enforces |v| <= 1
-    assert v.probability <= 1.0 + 1e-9
+    assert abs(v.value) ** 2 <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def test_overlap_quadratic_spot(squeezed):
     # quarter period of the omega_e = 2*omega_g squeeze: |amp|**2 =
     # 1/(1 + 2*gamma_minus**2) = 0.8
     v = overlap_quadratic(0, squeezed, math.pi / 4.0)
-    assert v.probability == pytest.approx(0.8, rel=1e-12)
+    assert abs(v.value) ** 2 == pytest.approx(0.8, rel=1e-12)
 
 
 def test_overlap_quadratic_reduces_to_linear(displaced):
@@ -280,7 +281,7 @@ def test_overlap_antiperiodic_over_one_mode_period(mixed):
 def test_overlap_quadratic_magnitude_bounded(ratio, lam, t):
     c = make(omega_e=ratio, lam=lam)
     v = overlap_quadratic(1, c, t)
-    assert v.probability <= 1.0 + 1e-9
+    assert abs(v.value) ** 2 <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +305,7 @@ def test_array_paths_equal_per_time_calls(request, name, p):
 
 def test_scalar_kernels_keep_scalar_types(mixed):
     v = overlap_quadratic(2, mixed, 0.3)
-    assert type(v.value) is complex and type(v.t) is float
-    assert isinstance(v.probability, float)
+    assert isinstance(v.value, complex)
     assert isinstance(phonon_number_quadratic(2, mixed, 0.3), float)
     arr = overlap_quadratic(2, mixed, np.array([0.3, 0.4]))
     assert arr.value.shape == (2,)

@@ -566,6 +566,11 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     assert report.all_passed
     assert built == {64: 1, 256: 1}
     assert len(listed) == 1
+    # a pinned size serves the thermal row from the same diagonalisation
+    built.clear()
+    report = validation.run_validation(specs * 2, oracle_dim=256, thermal_dim=256)
+    assert report.all_passed
+    assert built == {256: 2}
 
     def broken(c, basis):
         raise OracleError("assembled Hamiltonian is not Hermitian")
@@ -574,7 +579,7 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     rows = validation.run_validation(specs, oracle_dim=64, thermal_dim=256).rows
     failed = {r.check for r in rows if not r.passed}
     assert failed == {"eigenvalue_ladder", "return_amplitude", "phonon_number",
-                      "excited_energy", "line_weights"}
+                      "excited_energy", "thermal_correlation", "line_weights"}
     assert all("not Hermitian" in r.note for r in rows if not r.passed)
 
     def no_lines(c):
