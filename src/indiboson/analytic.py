@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,6 +147,15 @@ def excited_mean_energy(p: int, c: Couplings) -> float:
 # return amplitudes
 
 
+@lru_cache(maxsize=128)
+def _half_at_zero_reversed(p: int) -> np.ndarray:
+    """L^{(-1/2)}_{p-k}(0) for k = 0..p, read-only because every
+    overlap_quadratic call of order p shares it."""
+    out = laguerre_half_at_zero(p)[::-1]
+    out.flags.writeable = False
+    return out
+
+
 def _vacuum_factors(c: Couplings, t):
     """(denom, shift) of the vacuum return amplitude denom**-0.5 * e^{-shift},
     less its zero-point phase e^{-i omega_e t/2}; scalar or ndarray t.
@@ -177,7 +187,7 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
     half = laguerre_half_seq(p, -lam * lam / (d * (1.0 - q)))
     ratio = (1.0 + q) / (1.0 - q)
     column = (p + 1,) + (1,) * (half.ndim - 1)  # broadcast the k-sum over the times
-    at_zero = laguerre_half_at_zero(p)[::-1]  # L^{(-1/2)}_{p-k}(0)
+    at_zero = _half_at_zero_reversed(p)
     powers = np.empty(half.shape, dtype=complex)  # ratio**k as a running product
     powers[0] = 1.0
     powers[1:] = ratio

@@ -45,6 +45,8 @@ __all__ = [
 
 BUFFER_TOL = 1e-8
 _THERMAL_WEIGHT_FLOOR = 1e-12
+# the largest rounding of a Hamiltonian entry, in units of the smaller frequency
+_RESOLUTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,9 @@ def destroy(basis: TruncatedBasis) -> np.ndarray:
 def build_excited_hamiltonian(c: Couplings, basis: TruncatedBasis) -> np.ndarray:
     """Excited-surface Hamiltonian in the ground number basis:
     eps_e' + omega_g*(n + 1/2) - omega_e*(lambda1*(b+b^dag)
-    + lambda2*(b+b^dag)**2)."""
+    + lambda2*(b+b^dag)**2). Refused when the rounding of its entries,
+    eps*max|H|, exceeds 1e-8 of the smaller frequency: couplings that
+    small next to the diagonal are lost to its rounding."""
     n = basis.dim
     b = destroy(basis)
     q = b + b.T
@@ -81,6 +85,14 @@ def build_excited_hamiltonian(c: Couplings, basis: TruncatedBasis) -> np.ndarray
         - c.omega_e * (c.lambda1 * q + c.lambda2 * (q @ q))
     )
     scale = max(1.0, float(np.max(np.abs(h))))
+    rounding = np.finfo(float).eps * scale
+    limit = _RESOLUTION_TOL * min(c.omega_g, c.omega_e)
+    if rounding > limit:
+        raise OracleError(
+            f"Hamiltonian entries reach {scale:.3e}; their rounding {rounding:.3e} exceeds "
+            f"{_RESOLUTION_TOL:g} of the smaller frequency ({limit:.3e}), so the oracle "
+            "cannot resolve the couplings"
+        )
     if float(np.max(np.abs(h - h.T))) > 1e-13 * scale:
         raise OracleError("assembled Hamiltonian is not Hermitian")
     return h
@@ -88,13 +100,15 @@ def build_excited_hamiltonian(c: Couplings, basis: TruncatedBasis) -> np.ndarray
 
 @dataclass(frozen=True)
 class OracleState:
-    """Normalized state vector over a truncated basis."""
+    """Normalized state vector over a truncated basis. The amplitudes are
+    a read-only copy of the input, so a state never changes after it is
+    made and the caller's array is never written."""
 
     amplitudes: np.ndarray
     basis: TruncatedBasis
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.basis.dim,):
             raise ValueError(
                 f"amplitudes shape {amps.shape} does not match dim {self.basis.dim}"
@@ -102,6 +116,7 @@ class OracleState:
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-10")
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -127,15 +142,25 @@ def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """Eigendecomposition-backed propagator for a fixed Hamiltonian."""
+    """Eigendecomposition-backed propagator for a fixed Hamiltonian.
+
+    It remembers the last state it evolved with that state's eigenbasis
+    coefficients, as one (state, coefficients) tuple so that a concurrent
+    call reads a matching pair; a state is immutable, so evolving the same
+    state to many times projects it onto the eigenbasis once."""
 
     def __init__(self, hamiltonian: np.ndarray, basis: TruncatedBasis):
         self.basis = basis
         self.energies, self.modes = np.linalg.eigh(np.asarray(hamiltonian, dtype=float))
+        self._last = (None, None)
 
     def evolve(self, state: OracleState, t: float) -> OracleState:
+        last, coeffs = self._last
+        if state is not last:
+            coeffs = _real_matvec(self.modes.T, state.amplitudes)
+            self._last = (state, coeffs)
         phases = np.exp(-1j * self.energies * t)
-        amps = _real_matvec(self.modes, phases * _real_matvec(self.modes.T, state.amplitudes))
+        amps = _real_matvec(self.modes, phases * coeffs)
         out = OracleState(amps, self.basis)
         if out.buffer_population > BUFFER_TOL:
             raise TruncationError(
@@ -202,22 +227,23 @@ def observable(state: OracleState, op: np.ndarray) -> float:
     """<state|op|state> for a real symmetric op; refuses a complex op, a
     non-finite op and a nonreal result. The op is checked as max|op - op.T|
     and applied in real arithmetic; a diagonal op passes that check by
-    construction, so only its diagonal is checked for finiteness."""
+    construction, so only its diagonal is checked for finiteness, and it
+    is applied as its diagonal times the state, bit for bit the dense
+    product, which only adds zeros to each entry."""
     op = np.asarray(op)
     if np.iscomplexobj(op):
         raise ValueError("operator is complex; observable takes real symmetric operators")
     diagonal = _is_diagonal(op)
-    if diagonal:
-        amax = float(np.max(np.abs(np.diagonal(op))))  # NaN propagates
-    else:
-        amax = max(abs(float(op.max())), abs(float(op.min())))  # NaN propagates
+    bulk = np.diagonal(op) if diagonal else op
+    amax = max(abs(float(bulk.max())), abs(float(bulk.min())))  # NaN propagates
     if not math.isfinite(amax):
         raise ValueError("operator is not finite")
     asym = 0.0 if diagonal else float(np.max(op - op.T))  # antisymmetric: max is max|.|
     # the comparisons are written so that a NaN fails them
     if not asym <= 1e-13 * max(1.0, amax):
         raise ValueError("operator is not Hermitian")
-    value = complex(np.vdot(state.amplitudes, _real_matvec(op, state.amplitudes)))
+    a = state.amplitudes
+    value = complex(np.vdot(a, np.diagonal(op) * a if diagonal else _real_matvec(op, a)))
     if not abs(value.imag) <= 1e-10 * max(1.0, abs(value.real)):
         raise OracleError(f"expectation value has imaginary residue {value.imag!r}")
     return value.real

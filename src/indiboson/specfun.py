@@ -43,9 +43,13 @@ def laguerre_half_seq(order: int, x):
     out[0] = 1.0
     if order >= 1:
         out[1] = 0.5 - x
+        # read from out, the two previous orders keep a Python scalar x
+        # in numpy's scalar arithmetic, as out's own elements would
+        prev, cur = out[0], out[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(2, order + 1):
-            out[p] = ((2.0 * p - 1.5 - x) * out[p - 1] - (p - 1.5) * out[p - 2]) / p
+            prev, cur = cur, ((2.0 * p - 1.5 - x) * cur - (p - 1.5) * prev) / p
+            out[p] = cur
     return out
 
 

@@ -495,6 +495,22 @@ def test_oracle_failure_is_a_numerical_error(monkeypatch, capsys, name, message)
     assert err == f"numerical error: {message}\n"
 
 
+@pytest.mark.parametrize("setup", [
+    "omega_g = 1\nomega_e = 1\nlambda_g = 1e16\n",
+    "omega_g = 1\nomega_e = 1\nlambda_g = 1\nepsilon_e = 1e8\n",
+], ids=["lambda_g-1e16", "epsilon_e-1e8"])
+def test_evolve_oracle_refuses_an_unresolvable_hamiltonian(tmp_path, capsys, setup):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["evolve", "--config", str(cfg), "--oracle"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical error: Hamiltonian entries reach ")
+    assert "cannot resolve the couplings" in err and err.count("\n") == 1
+
+
 @pytest.fixture
 def buffer_level_config(tmp_path):
     # initial_p = 3 is past the buffer start (2) of a 3-level basis

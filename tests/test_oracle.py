@@ -15,7 +15,7 @@ import pytest
 
 from indiboson.analytic import spectrum_zero_T
 from indiboson.cli import main
-from indiboson.errors import TruncationError
+from indiboson.errors import OracleError, TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
 from indiboson import oracle
 from indiboson.oracle import (
@@ -69,6 +69,25 @@ def test_uncoupled_hamiltonian_is_the_bare_ladder():
     assert np.allclose(h, np.diag(expect), atol=1e-15)
 
 
+@pytest.mark.parametrize("couplings", [
+    dict(lam=1e16),  # the coupling vanishes below the rounding of the diagonal
+    dict(lam=1.0, eps_e=1e8),  # eps*max|H| is 2.2e-8, twice the limit
+])
+def test_hamiltonian_beyond_float_resolution_is_refused(couplings):
+    with pytest.raises(OracleError, match="cannot resolve the couplings"):
+        build_excited_hamiltonian(make(**couplings), TruncatedBasis(16))
+
+
+@pytest.mark.parametrize("couplings, dim", [
+    (dict(lam=1.0, eps_e=1e7), 256),  # a fifth of the limit
+    (dict(lam=4.0), 256),
+    (dict(omega_e=1e2, lam=40.0), 512),  # the worst corner of test_extremes' box
+])
+def test_hamiltonian_within_float_resolution_is_built(couplings, dim):
+    h = build_excited_hamiltonian(make(**couplings), TruncatedBasis(dim))
+    assert h.shape == (dim, dim)
+
+
 def test_eigenvalues_form_excited_ladder():
     # interior eigenvalues must be eps_e + omega_e*(n + 1/2) despite the
     # Hamiltonian being assembled in the ground basis
@@ -91,6 +110,38 @@ def test_number_state_and_norm_guard():
         OracleState(np.ones(8), basis)
     with pytest.raises(ValueError, match="p must lie"):
         OracleState.number_state(basis, 8)
+
+
+def test_state_is_a_read_only_copy_of_its_input():
+    basis = TruncatedBasis(8)
+    amps = np.zeros(8, dtype=complex)
+    amps[2] = 1.0
+    for given in (amps, amps.real):
+        state = OracleState(given, basis)
+        assert given.flags.writeable and not np.shares_memory(given, state.amplitudes)
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[2] = 0.5
+    amps[2], amps[3] = 0.6, 0.8  # the caller's array stays the caller's
+    assert state.amplitudes[2] == 1.0 and state.amplitudes[3] == 0.0
+    frozen = np.ones(8, dtype=complex) / math.sqrt(8.0)
+    frozen.flags.writeable = False
+    assert not np.shares_memory(frozen, OracleState(frozen, basis).amplitudes)
+
+
+def test_evolve_matches_a_fresh_propagator_whatever_it_evolved_before(mixed):
+    basis = TruncatedBasis(128)
+    h = build_excited_hamiltonian(mixed, basis)
+    prop = Propagator(h, basis)
+    a = OracleState.number_state(basis, 2)
+    b = OracleState(np.sqrt(0.5) * (np.eye(128)[1] + 1j * np.eye(128)[4]), basis)
+    twin = OracleState(a.amplitudes, basis)  # A's values in a new state
+    for state in (a, b, a, twin, b):
+        fresh = Propagator(h, basis)
+        assert np.array_equal(fresh.modes, prop.modes)
+        for t in (0.0, 0.9, 3.1):
+            got = prop.evolve(state, t).amplitudes
+            assert np.array_equal(got, fresh.evolve(state, t).amplitudes)
 
 
 def test_propagation_is_unitary_and_returns_home():
@@ -208,6 +259,18 @@ def test_observable_of_a_diagonal_operator_is_a_weighted_population():
         assert abs(observable(state, view) - value) <= 1e-15 * value, name
     with pytest.raises(ValueError, match="operator is complex"):
         observable(state, op.astype(complex))
+
+
+def test_diagonal_operator_value_equals_the_dense_product_bitwise():
+    basis = TruncatedBasis(256)
+    rng = np.random.default_rng(5)
+    for seed in range(10):
+        a = _random_state(basis, seed)
+        state = OracleState(a, basis)
+        for op in (np.diag(np.arange(256.0)), np.diag(rng.uniform(-3.0, 3.0, 256))):
+            value = observable(state, op)
+            assert value == complex(np.vdot(a, op @ a)).real
+            assert value == complex(np.vdot(a, _real_matvec(op, a))).real
 
 
 @pytest.mark.parametrize("symmetric", [True, False])

@@ -180,6 +180,36 @@ def test_sequences_accept_array_arguments():
             assert seq[(slice(None),) + idx] == pytest.approx(fn(7, arg[idx]), rel=1e-14)
 
 
+def _laguerre_half_indexed(order, x):
+    """The half-order recurrence with both previous orders read back out of
+    the output array; laguerre_half_seq must match it bit for bit."""
+    out = np.empty((order + 1,) + np.shape(x), dtype=np.result_type(x, 1.0))
+    out[0] = 1.0
+    if order >= 1:
+        out[1] = 0.5 - x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, order + 1):
+            out[p] = ((2.0 * p - 1.5 - x) * out[p - 1] - (p - 1.5) * out[p - 2]) / p
+    return out
+
+
+def test_half_order_recurrence_equals_the_indexed_recurrence_bitwise():
+    rng = np.random.default_rng(2)
+    specials = [-0.0, complex(0.0, -0.0), math.inf, complex(math.inf, 1.0), math.nan, 1e200,
+                np.array([math.inf, math.nan, -0.0])]
+    draws = []
+    for i in range(600):
+        re, im = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0)
+        draws.append([re, complex(re, im), np.float64(re), np.complex128(complex(re, im)),
+                      rng.normal(size=3) * re, (rng.normal(size=(2, 2)) + 1j) * im][i % 6])
+    for x in specials + draws:
+        for order in (0, 1, 2, int(rng.integers(3, 80))):
+            want = _laguerre_half_indexed(order, x)
+            got = laguerre_half_seq(order, x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (order, x)
+
+
 def test_half_order_values_at_zero_are_central_binomials():
     # L^{(-1/2)}_k(0) = C(2k, k)/4**k exactly. The running product rounds
     # twice per order; 10 eps bounds k <= 200 (the largest error, 5 eps,
@@ -190,6 +220,14 @@ def test_half_order_values_at_zero_are_central_binomials():
         exact = Fraction(math.comb(2 * k, k), 4**k)
         assert abs(Fraction(float(v)) / exact - 1) <= 10 * np.finfo(float).eps, k
     assert laguerre_half_at_zero(0).tolist() == [1.0]
+
+
+def test_half_order_values_at_zero_are_a_fresh_array_per_call():
+    first = laguerre_half_at_zero(6)
+    assert first.flags.writeable and first.flags.owndata
+    first[:] = -1.0
+    second = laguerre_half_at_zero(6)
+    assert not np.shares_memory(first, second) and second[0] == 1.0
 
 
 def test_negative_order_rejected():
