@@ -81,13 +81,6 @@ class OverlapValue:
         _check_magnitude("overlap", self.value)
 
 
-def _require_equal_frequencies(c: Couplings, op: str):
-    if not c.equal_frequencies:
-        raise ValueError(
-            f"{op} assumes omega_g == omega_e; got gamma_minus = {c.gamma_minus!r}"
-        )
-
-
 def _require_order(p: int) -> int:
     p = int(p)
     if p < 0:
@@ -127,20 +120,24 @@ def phonon_number(p: int, c: Couplings, ts) -> np.ndarray:
     return phonon_number_quadratic(p, c, np.asarray(ts, dtype=float))
 
 
+def _excited_occupation(c: Couplings, p):
+    """<p| B^dag B |p> for the excited-mode annihilation operator
+    B = gamma_plus*b + gamma_minus*b^dag - lambda_e, at a ground level p
+    or an ndarray of them: gamma_plus**2*p + gamma_minus**2*(p+1) +
+    lambda_e**2, which is p + lambda_g**2 at equal frequencies."""
+    return c.gamma_plus**2 * p + c.gamma_minus**2 * (p + 1) + c.lambda_e**2
+
+
 def excited_phonon_number(p: int, c: Couplings) -> float:
-    """Excited-mode occupation, constant in time: p + lambda_g**2.
-    Defined only for equal surface frequencies."""
-    p = _require_order(p)
-    _require_equal_frequencies(c, "excited_phonon_number")
-    return p + c.huang_rhys
+    """Excited-mode occupation of ground number state p, constant in time
+    for every coupling, since H_e = epsilon_e + omega_e*(B^dag B + 1/2)."""
+    return _excited_occupation(c, _require_order(p))
 
 
 def excited_mean_energy(p: int, c: Couplings) -> float:
-    """Conserved excited-surface energy for equal frequencies:
-    epsilon_e + omega*(p + lambda_g**2 + 1/2)."""
-    p = _require_order(p)
-    _require_equal_frequencies(c, "excited_mean_energy")
-    return c.epsilon_e + c.omega_e * (p + c.huang_rhys + 0.5)
+    """Conserved excited-surface energy of ground number state p:
+    epsilon_e + omega_e*(n_e + 1/2), n_e the excited-mode occupation."""
+    return c.epsilon_e + c.omega_e * (excited_phonon_number(p, c) + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +338,10 @@ def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.recarray, float]:
     LineListError before it is evaluated. Lines below 10 eps of the total
     are dropped and equal offsets merged.
 
-    Each column's first moment sum_n n*W_np/(2*pi) must equal w_p*(
-    gamma_plus**2*p + gamma_minus**2*(p+1) + lambda_e**2); the deviations,
-    each over that level plus one, are summed and above 1e-5 raise
-    LineListError.
+    Each column's first moment sum_n n*W_np/(2*pi) must equal w_p times
+    the excited-mode occupation :func:`_excited_occupation` of level p; the
+    deviations, each over that occupation plus one, are summed and above
+    1e-5 raise LineListError.
     """
     boltz = th.boltzmann(c.omega_g)
     refusal = f"thermal lines at beta={th.beta!r} need a grid of more than {_GRID_CAP} points"
@@ -355,8 +352,7 @@ def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.recarray, float]:
     n_p = _fft_size(max(1, math.ceil(cols)))
     # start at the mean level of the column whose b**p is the row tail
     reach = cols * math.log(_ROW_TAIL) / math.log(_FOLD_TOL)
-    gp2, gm2 = c.gamma_plus**2, c.gamma_minus**2
-    n_n = _fft_size(16 + math.ceil(gp2 * reach + gm2 * (reach + 1.0) + c.lambda_e**2))
+    n_n = _fft_size(16 + math.ceil(_excited_occupation(c, reach)))
     while True:
         if n_n * n_p > _GRID_CAP:
             raise LineListError(f"{refusal} ({n_n} x {n_p})")
@@ -369,7 +365,7 @@ def thermal_lines(th: ThermalParams, c: Couplings) -> tuple[np.recarray, float]:
     phi = (-2.0 * math.pi / n_p) * np.arange(n_p // 2 + 1)
     weights = 2.0 * math.pi * np.fft.irfft2(_thermal_torus(boltz, c, t, phi), s=(n_n, n_p))
     n, p = np.arange(n_n), np.arange(n_p)
-    expect = gp2 * p + gm2 * (p + 1) + c.lambda_e**2
+    expect = _excited_occupation(c, p)
     pops = (1.0 - boltz) * boltz**p
     residual = float(np.sum(np.abs(n @ weights / (2.0 * math.pi) - pops * expect)
                             / (expect + 1.0)))

@@ -341,9 +341,8 @@ def cmd_evolve(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
         "t": list(ts),
         "overlap_sq": list(np.abs(overlap(p0, c, ts)) ** 2),
         "ground_phonons": list(phonon_number(p0, c, ts)),
+        "excited_phonons": [excited_phonon_number(p0, c)] * ts.size,  # conserved
     }
-    if c.equal_frequencies:  # the excited-mode occupation is conserved
-        columns["excited_phonons"] = [excited_phonon_number(p0, c)] * ts.size
     if oracle:
         basis = TruncatedBasis(cfg.oracle_dim)
         prop = Propagator(build_excited_hamiltonian(c, basis), basis)

@@ -24,10 +24,10 @@ __all__ = [
     "time_coeffs",
 ]
 
-# Below this |gamma_minus| the surfaces are treated as sharing one frequency:
-# the excited-mode occupation and energy are conserved and defined, and
-# validate adds its two equal-frequency rows. Every other closed form is
-# the general one, which contains the equal-frequency limit.
+# Below this |gamma_minus| the surfaces count as sharing one frequency. Every
+# closed form is the general one, which contains that limit; the flag only
+# selects validate's tighter return_amplitude tolerance, perfbench's
+# tolerance split and the displaced-mode references of the tests.
 GAMMA_LINEAR_THRESHOLD = 1e-9
 
 

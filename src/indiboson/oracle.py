@@ -169,9 +169,20 @@ class Propagator:
             )
         return out
 
+    def _check_leak(self, weights: np.ndarray, what: str):
+        """Refuse eigenstate weights w_n, n = 0..len-1, that put more than
+        BUFFER_TOL on the buffer: sum_n w_n * (buffer population of
+        eigenstate n)."""
+        start = self.basis.buffer_start
+        leak = float(weights @ np.sum(self.modes[start:, : weights.size] ** 2, axis=0))
+        if not leak <= BUFFER_TOL:  # a NaN fails too
+            raise TruncationError(f"{what} put weighted buffer population {leak:.3e} "
+                                  f"past the basis edge (dim={self.basis.dim}); increase the basis")
+
     def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
         """<p| e^{-i (H - energy_offset) t} |p> sampled on ts; a level in
-        the truncation buffer has no trustworthy amplitude."""
+        the truncation buffer, or one that leans on eigenstates living
+        there, has no trustworthy amplitude."""
         if p < 0:
             raise ValueError(f"p must be >= 0, got {p}")
         if p >= self.basis.buffer_start:
@@ -179,6 +190,7 @@ class Propagator:
                                   f"(dim={self.basis.dim}); increase the basis")
         ts = np.asarray(ts, dtype=float)
         weights = self.modes[p, :] ** 2
+        self._check_leak(weights, f"the eigenstates of level p={p}")
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
 
     def thermal_correlation(self, th: ThermalParams, c: Couplings, ts) -> np.ndarray:
@@ -197,17 +209,14 @@ class Propagator:
 
     def franck_condon_weights(self, count: int) -> np.ndarray:
         """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
-        a count reaching into the buffer, and weights that put more than
-        BUFFER_TOL on it: sum_n weight_n * (buffer population of eigenstate n)."""
+        a count reaching into the buffer, and weights that lean on it
+        (:meth:`_check_leak`)."""
         basis = self.basis
         if count > basis.buffer_start:
             raise TruncationError(f"count={count} lines reach past the buffer start "
                                   f"{basis.buffer_start} (dim={basis.dim}); increase the basis")
         weights = 2.0 * np.pi * self.modes[0, :count] ** 2
-        leak = float(weights @ np.sum(self.modes[basis.buffer_start :, :count] ** 2, axis=0))
-        if leak > BUFFER_TOL:
-            raise TruncationError(f"line weights put weighted buffer population {leak:.3e} "
-                                  f"past the basis edge (dim={basis.dim}); increase the basis")
+        self._check_leak(weights, "line weights")
         return weights
 
 

@@ -2,12 +2,11 @@
 
 Each parameter set gets the same table of checks: algebraic identities,
 the eigenvalue ladder, vacuum occupation, return amplitudes, phonon
-numbers, thermal correlation, the zero-temperature line list, and (for
-equal frequencies) energy conservation and the displaced-state identity.
-Each check returns its analytic and reference samples; one reducer turns
-them into a row that reports the worst sample, and turns a numerical
-failure inside the check into a failed row, so one bad configuration
-cannot hide the rest of the table.
+numbers, energy conservation, thermal correlation and the
+zero-temperature line list. Each check returns its analytic and
+reference samples; one reducer turns them into a row that reports the
+worst sample, and turns a numerical failure inside the check into a
+failed row, so one bad configuration cannot hide the rest of the table.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .oracle import (
     Propagator,
     TruncatedBasis,
     build_excited_hamiltonian,
-    destroy,
     excited_vacuum,
     observable,
 )
@@ -44,46 +42,6 @@ __all__ = ["THERMAL_ORACLE_DIM", "ValidationRow", "ValidationReport", "run_valid
 # the 3e-6 level, above the 1e-6 contract. Every thermal oracle of the
 # command line uses this many levels unless an oracle_dim key pins them.
 THERMAL_ORACLE_DIM = 256
-
-
-def vacuum_expansion_linear(lam: float, p_max: int) -> np.ndarray:
-    """Ground-basis number-state coefficients of the displaced vacuum.
-
-    Coefficient p is exp(-lam**2/2) * lam**p / sqrt(p!); the squared
-    coefficients form the Poisson distribution with mean lam**2.
-    """
-    out = np.empty(p_max + 1)
-    amp = math.exp(-0.5 * lam * lam)
-    out[0] = amp
-    for p in range(1, p_max + 1):
-        amp *= lam / math.sqrt(p)
-        out[p] = amp
-    return out
-
-
-def polaron_state_check(lam: float, p_max: int, dim: int) -> float:
-    """Largest residual of the displaced-mode identity over the levels
-    p = 0..p_max in a truncated basis.
-
-    Applying the displacement exp(lam*(b^dag - b)) to ground number state
-    p must equal building the p-th excited number state from the displaced
-    vacuum with the shifted creation operator (b^dag - lam)/sqrt(p!).
-    Each residual is the 2-norm of the difference; truncation noise only.
-    """
-    if dim < p_max + 2:
-        raise ValueError(f"dim must exceed p + 1, got dim={dim}, p={p_max}")
-    b = destroy(TruncatedBasis(dim))
-    # exp(lam*(b^dag - b)) = exp(-i*g) for the Hermitian generator
-    # g = i*lam*(b^dag - b), exponentiated once through its eigenbasis
-    energies, modes = np.linalg.eigh(1j * lam * (b.T - b))
-    phases = np.exp(-1j * energies)
-    shifted_create = b.T - lam * np.eye(dim)
-    vec, residuals = vacuum_expansion_linear(lam, dim - 1), []
-    for p in range(p_max + 1):
-        displaced = modes @ (phases * modes[p].conj())
-        residuals.append(np.linalg.norm(displaced - vec / math.sqrt(math.factorial(p))))
-        vec = shifted_create @ vec
-    return float(np.max(residuals))  # a NaN residual stays NaN
 
 
 @dataclass(frozen=True)
@@ -212,12 +170,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         note = f"{count} lines" + ("" if count == len(lst) else f" of {len(lst)}")
         return lst.weight[:count], ref, note
 
-    equal_frequency_checks = [
-        ("excited_energy", 1e-8,
-         lambda: (excited_mean_energy(p0, c), evolved(oracle(dim)[0], ts[::20]), "conserved")),
-        ("polaron_identity", 1e-8,
-         lambda: (polaron_state_check(c.lambda_g, 3, dim), 0.0, f"p <= 3, dim {dim}")),
-    ]
+    energy = excited_mean_energy(p0, c)
     checks = [
         ("coupling_identity", 1e-12, lambda: (c.gamma_plus**2 - c.gamma_minus**2, 1.0, "")),
         ("evolved_op_identity", 1e-12, coeff_identity),
@@ -227,7 +180,9 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         ("return_amplitude", 1e-8 if c.equal_frequencies else 1e-6, return_amplitude),
         ("phonon_number", 1e-7,
          lambda: (phonon_number(p0, c, ts[::4]), evolved(number, ts[::4]), f"p={p0}")),
-        *(equal_frequency_checks if c.equal_frequencies else []),
+        # an absolute energy: its rounding grows with its size
+        ("excited_energy", 1e-8 * max(1.0, abs(energy)),
+         lambda: (energy, evolved(oracle(dim)[0], ts[::20]), "conserved")),
         ("thermal_correlation", 1e-6, thermal),
         ("line_weights", 1e-8, line_weights),
         # sequential, not numpy's pairwise sum

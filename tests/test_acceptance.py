@@ -32,7 +32,6 @@ from indiboson.oracle import (
     observable,
     thermal_correlation,
 )
-from indiboson.validation import polaron_state_check
 
 import displaced  # the tests' equal-frequency reference
 
@@ -149,16 +148,20 @@ def test_5_phonon_numbers_vs_reference():
             worst = max(worst, abs(got - ref))
     assert worst <= 1e-7, f"max deviation {worst:.3e}"
 
-    # equal frequencies: mean energy stays put while the ground-mode
-    # occupation swings by 4*lambda**2
-    c = _couplings("fig2-linear")
+    # the mean excited-surface energy stays put at every coupling
     basis = TruncatedBasis(128)
-    h = build_excited_hamiltonian(c, basis)
-    prop = Propagator(h, basis)
     state = OracleState.number_state(basis, 0)
+    for name in ("fig2-linear", "fig2-both"):
+        c = _couplings(name)
+        h = build_excited_hamiltonian(c, basis)
+        prop = Propagator(h, basis)
+        ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 161)
+        energies = np.array([observable(prop.evolve(state, t), h) for t in ts])
+        assert np.max(np.abs(energies - excited_mean_energy(0, c))) <= 1e-8, name
+
+    # equal frequencies: the ground-mode occupation swings by 4*lambda**2
+    c = _couplings("fig2-linear")
     ts = np.linspace(0.0, 4.0 * math.pi, 161)
-    energies = np.array([observable(prop.evolve(state, t), h) for t in ts])
-    assert np.max(np.abs(energies - excited_mean_energy(0, c))) <= 1e-8
     phonons = phonon_number(0, c, ts)
     assert np.max(np.abs(phonons - displaced.phonon_number(0, c, ts))) <= 1e-12
     assert np.max(phonons) - np.min(phonons) == pytest.approx(
@@ -242,7 +245,7 @@ def test_7_zero_temperature_line_lists():
 
 
 def test_8_displaced_identity_residual():
-    worst = polaron_state_check(1.0, 3, dim=60)  # the worst of p = 0..3
+    worst = displaced.polaron_state_check(1.0, 3, dim=60)  # the worst of p = 0..3
     assert worst < 1e-8, f"residual {worst:.3e}"
     _report(8, "displaced-mode identity residual", f"worst {worst:.2e}")
 

@@ -27,7 +27,6 @@ from indiboson.analytic import (
 from indiboson.errors import PoleError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings, time_coeffs
 from indiboson.oracle import Propagator, TruncatedBasis, build_excited_hamiltonian
-from indiboson.validation import polaron_state_check, vacuum_expansion_linear
 
 import displaced as displaced_form  # the tests' equal-frequency reference
 import powerseries  # the tests' independent series reference
@@ -112,8 +111,8 @@ def test_result_containers_reject_unphysical_magnitudes(monkeypatch, displaced):
 
 
 def test_vacuum_expansion_spot_values():
-    assert vacuum_expansion_linear(0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
-    coeffs = vacuum_expansion_linear(1.0, 40)
+    assert displaced_form.vacuum_expansion_linear(0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+    coeffs = displaced_form.vacuum_expansion_linear(1.0, 40)
     assert coeffs[0] == pytest.approx(math.exp(-0.5), rel=1e-15)
     # squared coefficients are Poisson with mean 1
     for p in range(8):
@@ -177,13 +176,20 @@ def test_time_coefficients_match_normal_mode_transform(mixed):
         assert min(abs(tc.lam_tilde - lam), abs(tc.lam_tilde + lam)) < 1e-13
 
 
-def test_excited_surface_constants(displaced, mixed):
+def test_excited_surface_constants(displaced, squeezed, mixed):
+    # n_e = gamma_plus**2 p + gamma_minus**2 (p+1) + lambda_e**2 for every
+    # coupling: p + lambda_g**2 at equal frequencies, and with
+    # gamma_plus**2 = 9/8, gamma_minus**2 = 1/8 at omega_e = 2 omega_g,
+    # plus lambda_e**2 = 2 lambda_g**2
     assert excited_phonon_number(2, displaced) == pytest.approx(3.0, rel=1e-15)
     assert excited_mean_energy(0, displaced) == pytest.approx(1.5, rel=1e-15)
-    with pytest.raises(ValueError, match="omega_g == omega_e"):
-        excited_phonon_number(0, mixed)
-    with pytest.raises(ValueError, match="omega_g == omega_e"):
-        excited_mean_energy(0, mixed)
+    for c, p, n_e in ((squeezed, 0, 0.125), (squeezed, 3, 3.875),
+                      (mixed, 0, 2.125), (mixed, 3, 5.875)):
+        assert excited_phonon_number(p, c) == pytest.approx(n_e, rel=1e-15)
+        assert excited_mean_energy(p, c) == pytest.approx(2.0 * (n_e + 0.5), rel=1e-15)
+    for fn in (excited_phonon_number, excited_mean_energy):
+        with pytest.raises(ValueError, match="phonon index"):
+            fn(-1, mixed)
     with pytest.raises(ValueError, match="phonon index"):
         phonon_number(-1, displaced, [0.0])
 
@@ -456,8 +462,8 @@ def test_correlation_carries_electronic_gap(displaced):
 
 
 def test_polaron_identity_residual_is_truncation_noise():
-    assert polaron_state_check(1.0, 0, dim=40) < 1e-10
-    assert polaron_state_check(1.0, 2, dim=60) < 1e-8
-    assert polaron_state_check(0.0, 3, dim=20) < 1e-14
+    assert displaced_form.polaron_state_check(1.0, 0, dim=40) < 1e-10
+    assert displaced_form.polaron_state_check(1.0, 2, dim=60) < 1e-8
+    assert displaced_form.polaron_state_check(0.0, 3, dim=20) < 1e-14
     with pytest.raises(ValueError, match="dim"):
-        polaron_state_check(1.0, 5, dim=6)
+        displaced_form.polaron_state_check(1.0, 5, dim=6)

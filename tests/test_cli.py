@@ -15,6 +15,7 @@ import pytest
 import indiboson
 from indiboson import cli, oracle, validation
 from indiboson.cli import build_run_config, main, parse_config_text
+from indiboson.presets import preset_config, preset_names
 from indiboson.analytic import spectrum_zero_T
 from indiboson.errors import (ConfigError, LineListError, OracleError, PoleError,
                               TruncationError)
@@ -608,15 +609,70 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     assert missed == {"line_weights", "line_sum_rule"}
 
 
-def test_validate_polaron_row_follows_the_basis_size(tmp_path, capsys):
-    # 60 levels miss the displaced-mode identity at lambda_g = 4 by 1.6e-6
-    cfg = tmp_path / "displaced.cfg"
-    cfg.write_text("omega_g = 1\nomega_e = 1\nlambda_g = 4\nbeta = 2\n")
-    code, out, _ = run(["validate", "--config", str(cfg), "--oracle-dim", "256"], capsys)
-    assert code == 0
+def _preset_specs():
+    specs = []
+    for name in preset_names():
+        cfg = build_run_config(preset_config(name))
+        specs.append((name, cfg.params, cfg.thermal.beta, cfg.initial_p))
+    return specs
+
+
+def test_validate_runs_the_same_rows_on_every_set():
+    # no row depends on the coupling: energy conservation is checked at
+    # every frequency ratio
+    rows = validation.run_validation(_preset_specs(), oracle_dim=128, thermal_dim=256).rows
+    by_set = {}
+    for r in rows:
+        by_set.setdefault(r.label, []).append(r.check)
+    assert list(by_set) == list(preset_names())
+    checks = by_set["fig2-linear"]
+    assert all(names == checks for names in by_set.values())
+    assert "excited_energy" in checks and "polaron_identity" not in checks
+
+
+def test_validate_sees_a_relative_energy_error_of_1e7(monkeypatch):
+    exact = validation.excited_mean_energy
+    monkeypatch.setattr(validation, "excited_mean_energy",
+                        lambda p, c: exact(p, c) * (1.0 + 1e-7))
+    rows = validation.run_validation(_preset_specs(), oracle_dim=128, thermal_dim=256).rows
+    energy = [r for r in rows if r.check == "excited_energy"]
+    assert [r.label for r in energy] == list(preset_names())
+    assert not any(r.passed for r in energy)
+    assert all(r.passed for r in rows if r.check != "excited_energy")
+    # the tolerance scales with the energy: 1e-8 * max(1, |E|)
+    assert [r.tol for r in energy] == [1e-8 * max(1.0, abs(r.analytic)) for r in energy]
+
+
+@pytest.mark.parametrize("omega_e", ["1", "2"])
+def test_validate_passes_a_large_electronic_energy(tmp_path, capsys, omega_e):
+    # at epsilon_e = 1e7 the excited energy carries ~1.1e-8 to 1.5e-8 of
+    # rounding, beyond an absolute 1e-8
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(f"omega_g = 1\nomega_e = {omega_e}\nlambda_g = 1\nepsilon_e = 1e7\n")
+    code, out, _ = run(["validate", "--config", str(cfg)], capsys)
+    assert code == 0, out
     row = next(line for line in out.splitlines()
-               if line.startswith("polaron_identity") and " config " in line)
-    assert " pass " in row and row.endswith("[p <= 3, dim 256]")
+               if line.startswith("excited_energy") and " config " in line)
+    assert " pass " in row and " 1e-01 " in row
+
+
+def test_validate_refuses_a_return_amplitude_that_leans_on_the_buffer(tmp_path, capsys):
+    # omega_e/omega_g = 0.3, lambda_g = 1.5, p = 1: at 128 levels the row
+    # used to fail by 1.4e-6 as if the closed form were wrong
+    cfg = tmp_path / "soft.cfg"
+    cfg.write_text("omega_g = 1\nomega_e = 0.3\nlambda_g = 1.5\ninitial_p = 1\n")
+
+    def row(dim):
+        _, out, _ = run(["validate", "--config", str(cfg), "--oracle-dim", dim], capsys)
+        return next(line for line in out.splitlines()
+                    if line.startswith("return_amplitude") and " config " in line)
+
+    assert "FAIL  [TruncationError: the eigenstates of level p=1 put weighted" in row("128")
+    assert " pass " in row("256")
+    code, _, err = run(["evolve", "--config", str(cfg), "--oracle"], capsys)
+    assert code == 3 and "p=1 put weighted buffer population" in err
+    assert run(["evolve", "--config", str(cfg), "--oracle", "--oracle-dim", "256"],
+               capsys)[0] == 0
 
 
 def test_row_reports_the_first_worst_sample():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from indiboson.analytic import spectrum_zero_T
+from indiboson.analytic import excited_mean_energy, excited_phonon_number, spectrum_zero_T
 from indiboson.cli import main
 from indiboson.errors import OracleError, TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
@@ -34,7 +34,7 @@ from indiboson.oracle import (
     _real_matvec,
     _thermal_weights,
 )
-from indiboson.validation import vacuum_expansion_linear
+from displaced import vacuum_expansion_linear  # the tests' displaced-vacuum reference
 
 
 def make(omega_g=1.0, omega_e=1.0, lam=0.0, eps_e=0.0):
@@ -175,12 +175,39 @@ def test_return_amplitude_refuses_levels_outside_the_trusted_basis():
     c = make(omega_e=1.7, lam=0.5)
     basis = TruncatedBasis(16)  # buffer starts at level 14
     prop = Propagator(build_excited_hamiltonian(c, basis), basis)
-    assert prop.return_amplitude(13, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
+    # level 13 lies below the buffer, but its eigenstates put 0.27 of their
+    # weight in it; 128 levels hold them (8e-15)
+    with pytest.raises(TruncationError, match=r"p=13 put weighted buffer population 2\.669e-01"):
+        prop.return_amplitude(13, [0.0])
+    wide = TruncatedBasis(128)
+    amp = Propagator(build_excited_hamiltonian(c, wide), wide).return_amplitude(13, [0.0])
+    assert amp[0] == pytest.approx(1.0, abs=1e-12)
     for p in (14, 15, 16):
         with pytest.raises(TruncationError, match=f"level p={p} .* increase the basis"):
             prop.return_amplitude(p, [0.0])
     with pytest.raises(ValueError, match="p must be >= 0"):
         prop.return_amplitude(-1, [0.0])
+
+
+@pytest.mark.parametrize("ratio, lam, p", [(0.5, 1.5, 0), (2.0, 1.0, 3), (1.3, 0.0, 3),
+                                           (0.7, 0.8, 1)])
+def test_excited_mode_occupation_and_energy_are_conserved_at_unequal_frequencies(
+        ratio, lam, p):
+    # H_e = epsilon_e + omega_e (B^dag B + 1/2) with
+    # B = gamma_plus b + gamma_minus b^dag - lambda_e, at every coupling
+    c = make(omega_e=ratio, lam=lam, eps_e=0.7)
+    basis = TruncatedBasis(256)
+    b = destroy(basis)
+    big_b = c.gamma_plus * b + c.gamma_minus * b.T - c.lambda_e * np.eye(basis.dim)
+    occupation = big_b.T @ big_b
+    h = build_excited_hamiltonian(c, basis)
+    prop = Propagator(h, basis)
+    state = OracleState.number_state(basis, p)
+    n_e, energy = excited_phonon_number(p, c), excited_mean_energy(p, c)
+    for t in np.linspace(0.0, 4.0 * math.pi / c.omega_e, 9):
+        evolved = prop.evolve(state, t)
+        assert abs(observable(evolved, occupation) - n_e) <= 1e-12
+        assert abs(observable(evolved, h) - energy) <= 1e-12
 
 
 def test_buffer_contamination_raises():
