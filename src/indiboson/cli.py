@@ -46,18 +46,16 @@ from .analytic import (
 from .errors import ConfigError, LineListError, OracleError, PoleError, TruncationError
 from .model import Couplings, ModelParams, ThermalParams, derive_couplings
 from .oracle import (
-    OracleState,
     Propagator,
     TruncatedBasis,
     build_excited_hamiltonian,
     franck_condon_weights,
-    observable,
     thermal_correlation,
     thermal_line_list,
     window_broadened,
 )
 from .presets import preset_config, preset_names
-from .validation import THERMAL_ORACLE_DIM, run_validation
+from .validation import run_validation
 
 __all__ = ["main", "build_parser", "parse_config_text", "build_run_config", "RunConfig"]
 
@@ -119,14 +117,7 @@ def _as_int(raw: dict, key: str, default: int | None = None) -> int | None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration shared by all subcommands.
-
-    ``thermal_dim`` is the basis size of the thermal oracle comparisons
-    (``correlation --oracle``, finite-T ``spectrum --oracle`` and the thermal
-    row of ``validate``): ``oracle_dim`` when an ``oracle_dim`` key (from
-    ``--oracle-dim`` or a config file) pins it, else
-    :data:`~indiboson.validation.THERMAL_ORACLE_DIM`.
-    """
+    """Fully resolved run configuration shared by all subcommands."""
 
     params: ModelParams
     thermal: ThermalParams
@@ -135,7 +126,6 @@ class RunConfig:
     w_grid: tuple[float, float, int]
     eta: float
     oracle_dim: int
-    thermal_dim: int
     fmt: str
     out: str | None
 
@@ -219,7 +209,7 @@ def build_run_config(raw: dict) -> RunConfig:
     eta = _as_float(raw, "eta", 0.02 * params.omega_e)
     if eta <= 0.0:
         raise ConfigError(f"eta must be > 0, got {eta}")
-    oracle_dim = _as_int(raw, "oracle_dim", 128)
+    oracle_dim = _as_int(raw, "oracle_dim", 256)
     if oracle_dim < 2:
         raise ConfigError(f"oracle_dim must be >= 2, got {oracle_dim}")
     fmt = str(raw.get("format", "csv"))
@@ -234,7 +224,6 @@ def build_run_config(raw: dict) -> RunConfig:
         w_grid=(w_min, w_max, w_points),
         eta=eta,
         oracle_dim=oracle_dim,
-        thermal_dim=_as_int(raw, "oracle_dim", THERMAL_ORACLE_DIM),
         fmt=fmt,
         out=str(out) if out is not None else None,
     )
@@ -347,12 +336,10 @@ def cmd_evolve(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
         basis = TruncatedBasis(cfg.oracle_dim)
         prop = Propagator(build_excited_hamiltonian(c, basis), basis)
         ref = prop.return_amplitude(p0, ts, energy_offset=c.epsilon_e)
-        state = OracleState.number_state(basis, p0)
-        num_op = np.diag(np.arange(basis.dim, dtype=float))
         columns["oracle_overlap_sq"] = list(np.abs(ref) ** 2)
-        columns["oracle_ground_phonons"] = [
-            observable(prop.evolve(state, t), num_op) for t in ts
-        ]
+        columns["oracle_ground_phonons"] = list(
+            prop.expectation(p0, ts, np.arange(basis.dim, dtype=float))
+        )
         return {"oracle_dim": cfg.oracle_dim}, columns
     return {}, columns
 
@@ -368,10 +355,10 @@ def cmd_correlation(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, d
     }
     meta = {}
     if oracle:
-        ref = thermal_correlation(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim), ts)
+        ref = thermal_correlation(cfg.thermal, c, TruncatedBasis(cfg.oracle_dim), ts)
         columns["oracle_g_real"] = list(ref.real)
         columns["oracle_g_imag"] = list(ref.imag)
-        meta["oracle_dim"] = cfg.thermal_dim
+        meta["oracle_dim"] = cfg.oracle_dim
     return meta, columns
 
 
@@ -400,11 +387,11 @@ def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict
         "absorption": list(windowed_spectrum(lines, w - c.omega_eg, cfg.eta, t_max)),
     }
     if oracle:
-        ref = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.thermal_dim))
+        ref = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.oracle_dim))
         columns["oracle_absorption"] = list(
             window_broadened(w - c.omega_eg, ref, cfg.eta, t_max)
         )
-        meta["oracle_dim"] = cfg.thermal_dim
+        meta["oracle_dim"] = cfg.oracle_dim
     return meta, columns
 
 
@@ -418,12 +405,11 @@ def cmd_validate(args, cfg: RunConfig) -> int:
             continue
         pc = build_run_config(preset_config(name))
         specs.append((name, pc.params, pc.thermal.beta, pc.initial_p))
-    report = run_validation(specs, oracle_dim=cfg.oracle_dim,
-                            thermal_dim=cfg.thermal_dim)
+    report = run_validation(specs, oracle_dim=cfg.oracle_dim)
     print(report.to_text())
     if cfg.out is not None:
         meta = {"tool": "indiboson", "version": __version__, "command": "validate",
-                "oracle_dim": report.oracle_dim, "thermal_dim": report.thermal_dim,
+                "oracle_dim": report.oracle_dim,
                 "overall": "pass" if report.all_passed else "fail"}
         _emit(cfg, meta, report.columns())
     return 0 if report.all_passed else 1
@@ -458,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", help="inverse temperature override ('inf' for T = 0)")
         sp.add_argument("--eta", help="spectral half-width override")
         sp.add_argument("--oracle-dim", dest="oracle_dim",
-                        help="truncated-basis size (default 128; thermal "
-                             "comparisons use 256 unless this is given)")
+                        help="truncated-basis size (default 256)")
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.set_defaults(func=command, oracle=False)

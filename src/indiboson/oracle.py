@@ -169,7 +169,7 @@ class Propagator:
             )
         return out
 
-    def _check_leak(self, weights: np.ndarray, what: str):
+    def check_leak(self, weights: np.ndarray, what: str):
         """Refuse eigenstate weights w_n, n = 0..len-1, that put more than
         BUFFER_TOL on the buffer: sum_n w_n * (buffer population of
         eigenstate n)."""
@@ -179,19 +179,46 @@ class Propagator:
             raise TruncationError(f"{what} put weighted buffer population {leak:.3e} "
                                   f"past the basis edge (dim={self.basis.dim}); increase the basis")
 
-    def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
-        """<p| e^{-i (H - energy_offset) t} |p> sampled on ts; a level in
-        the truncation buffer, or one that leans on eigenstates living
-        there, has no trustworthy amplitude."""
+    def _check_level(self, p: int):
+        """Refuse a negative level and a level in the truncation buffer."""
         if p < 0:
             raise ValueError(f"p must be >= 0, got {p}")
         if p >= self.basis.buffer_start:
             raise TruncationError(f"level p={p} lies in the truncation buffer "
                                   f"(dim={self.basis.dim}); increase the basis")
+
+    def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
+        """<p| e^{-i (H - energy_offset) t} |p> sampled on ts; a level in
+        the truncation buffer, or one that leans on eigenstates living
+        there, has no trustworthy amplitude."""
+        self._check_level(p)
         ts = np.asarray(ts, dtype=float)
         weights = self.modes[p, :] ** 2
-        self._check_leak(weights, f"the eigenstates of level p={p}")
+        self.check_leak(weights, f"the eigenstates of level p={p}")
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
+
+    def expectation(self, p: int, ts, op: np.ndarray) -> np.ndarray:
+        """<p(t)|op|p(t)> on ts for number state p and a real symmetric op,
+        given as a matrix or as its diagonal. The amplitudes
+        modes @ (e^{-i E t} modes[p]) are two real (dim, len(ts)) products,
+        cos and sin; refused for a level in the buffer, or when any time
+        puts more than BUFFER_TOL there."""
+        self._check_level(p)
+        op = np.asarray(op)
+        if np.iscomplexobj(op):
+            raise ValueError("operator is complex; expectation takes real symmetric operators")
+        phase = np.outer(self.energies, np.asarray(ts, dtype=float))
+        col = self.modes[p][:, None]
+        re = self.modes @ (np.cos(phase) * col)
+        im = self.modes @ (np.sin(phase, out=phase) * col)  # its sign drops out
+        pops = re**2 + im**2
+        leak = float(np.max(np.sum(pops[self.basis.buffer_start :], axis=0), initial=0.0))
+        if not leak <= BUFFER_TOL:  # a NaN fails too
+            raise TruncationError(f"evolved state puts {leak:.3e} of its weight in the truncation "
+                                  f"buffer (dim={self.basis.dim}); increase the basis")
+        if op.ndim == 1:
+            return op @ pops
+        return np.sum(re * (op @ re), axis=0) + np.sum(im * (op @ im), axis=0)
 
     def thermal_correlation(self, th: ThermalParams, c: Couplings, ts) -> np.ndarray:
         """Thermal dipole correlation from the truncated basis:
@@ -210,13 +237,13 @@ class Propagator:
     def franck_condon_weights(self, count: int) -> np.ndarray:
         """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
         a count reaching into the buffer, and weights that lean on it
-        (:meth:`_check_leak`)."""
+        (:meth:`check_leak`)."""
         basis = self.basis
         if count > basis.buffer_start:
             raise TruncationError(f"count={count} lines reach past the buffer start "
                                   f"{basis.buffer_start} (dim={basis.dim}); increase the basis")
         weights = 2.0 * np.pi * self.modes[0, :count] ** 2
-        self._check_leak(weights, "line weights")
+        self.check_leak(weights, "line weights")
         return weights
 
 

@@ -26,22 +26,10 @@ from .analytic import (
     vacuum_ground_phonon_number,
 )
 from .model import ModelParams, ThermalParams, derive_couplings, time_coeffs
-from .oracle import (
-    OracleState,
-    Propagator,
-    TruncatedBasis,
-    build_excited_hamiltonian,
-    excited_vacuum,
-    observable,
-)
+from .errors import TruncationError
+from .oracle import BUFFER_TOL, Propagator, TruncatedBasis, build_excited_hamiltonian
 
-__all__ = ["THERMAL_ORACLE_DIM", "ValidationRow", "ValidationReport", "run_validation"]
-
-# Thermal comparisons need the deeper basis: Boltzmann tails at the preset
-# temperatures reach p ~ 54 and a 128-level basis contaminates the sum at
-# the 3e-6 level, above the 1e-6 contract. Every thermal oracle of the
-# command line uses this many levels unless an oracle_dim key pins them.
-THERMAL_ORACLE_DIM = 256
+__all__ = ["ValidationRow", "ValidationReport", "run_validation"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +48,6 @@ class ValidationRow:
 class ValidationReport:
     rows: tuple
     oracle_dim: int
-    thermal_dim: int
 
     @property
     def all_passed(self) -> bool:
@@ -69,7 +56,7 @@ class ValidationReport:
     def to_text(self) -> str:
         head = (
             f"{'check':<22} {'set':<16} {'analytic':>18} {'reference':>18} "
-            f"{'|diff|':>10} {'tol':>8}  status"
+            f"{'|diff|':>10} {'tol':>9}  status"
         )
         lines = [head, "-" * len(head)]
         for r in self.rows:
@@ -77,13 +64,10 @@ class ValidationReport:
             note = f"  [{r.note}]" if r.note else ""
             lines.append(
                 f"{r.check:<22} {r.label:<16} {r.analytic:>18.11g} "
-                f"{r.reference:>18.11g} {r.diff:>10.3e} {r.tol:>8.0e}  {status}{note}"
+                f"{r.reference:>18.11g} {r.diff:>10.3e} {r.tol:>9.2e}  {status}{note}"
             )
         verdict = "PASS" if self.all_passed else "FAIL"
-        lines.append(
-            f"overall: {verdict} "
-            f"(oracle dim {self.oracle_dim}, thermal dim {self.thermal_dim})"
-        )
+        lines.append(f"overall: {verdict} (oracle dim {self.oracle_dim})")
         return "\n".join(lines)
 
     def columns(self) -> dict:
@@ -121,52 +105,59 @@ def _row(check: str, label: str, tol: float, fn) -> ValidationRow:
 
 
 def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
-              dim: int, thermal_dim: int) -> list[ValidationRow]:
+              dim: int) -> list[ValidationRow]:
     c = derive_couplings(params)
     th = ThermalParams(beta)
     ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 160)
     basis = TruncatedBasis(dim)
-    number = np.diag(np.arange(dim, dtype=float))
+    number = np.arange(dim, dtype=float)  # the number operator's diagonal
 
     @cache
-    def oracle(size):
-        # one diagonalisation per parameter set and basis size; a failure
-        # here raises inside each row that asks, as that row's failure
-        sized = TruncatedBasis(size)
-        h = build_excited_hamiltonian(c, sized)
-        return h, Propagator(h, sized)
+    def oracle():
+        # one diagonalisation per parameter set; a failure here raises
+        # inside each row that asks, as that row's failure
+        h = build_excited_hamiltonian(c, basis)
+        return h, Propagator(h, basis)
 
     @cache
     def zero_T_lines():  # one line list per parameter set, like oracle()
         return spectrum_zero_T(c)
-
-    def evolved(op, times):
-        """<op> in number state p0 evolved by the oracle to each time."""
-        prop = oracle(dim)[1]
-        state = OracleState.number_state(basis, p0)
-        return np.array([observable(prop.evolve(state, t), op) for t in times])
 
     def coeff_identity():
         tc = time_coeffs(c, ts)
         return np.abs(tc.d_tilde_prime) ** 2 - np.abs(tc.q_tilde_prime) ** 2, 1.0, ""
 
     def ladder():
+        # from the bottom up, up to the first eigenvector that leans on the buffer
+        prop = oracle()[1]
         n_chk = max(2, dim // 4)
-        expected = c.epsilon_e + c.omega_e * (np.arange(n_chk) + 0.5)
-        return expected, oracle(dim)[1].energies[:n_chk], f"n <= {n_chk - 1}"
+        clean = np.sum(prop.modes[basis.buffer_start :, :n_chk] ** 2, axis=0) <= BUFFER_TOL
+        count = n_chk if clean.all() else int(np.argmin(clean))
+        if count < 2:
+            raise TruncationError(f"{count} of the lowest {n_chk} eigenvectors stay off "
+                                  f"the buffer (dim={dim}); increase the basis")
+        expected = c.epsilon_e + c.omega_e * (np.arange(count) + 0.5)
+        note = f"{count} levels" + ("" if count == n_chk else f" of {n_chk}")
+        return expected, prop.energies[:count], note
+
+    def vacuum():
+        # the excited vacuum is the lowest eigenvector of H_e
+        prop = oracle()[1]
+        prop.check_leak(np.ones(1), "the excited vacuum")
+        return vacuum_ground_phonon_number(c), number @ prop.modes[:, 0] ** 2, ""
 
     def return_amplitude():
-        ref = oracle(dim)[1].return_amplitude(p0, ts, energy_offset=c.epsilon_e)
+        ref = oracle()[1].return_amplitude(p0, ts, energy_offset=c.epsilon_e)
         return overlap(p0, c, ts), ref, f"p={p0}, {ts.size} times"
 
     def thermal():
-        ref = oracle(thermal_dim)[1].thermal_correlation(th, c, ts)
-        return correlation(th, c, ts), ref, f"dim={thermal_dim}"
+        ref = oracle()[1].thermal_correlation(th, c, ts)
+        return correlation(th, c, ts), ref, f"dim={dim}"
 
     def line_weights():
         lst = zero_T_lines()
         count = min(len(lst), basis.buffer_start)
-        ref = oracle(dim)[1].franck_condon_weights(count)
+        ref = oracle()[1].franck_condon_weights(count)
         note = f"{count} lines" + ("" if count == len(lst) else f" of {len(lst)}")
         return lst.weight[:count], ref, note
 
@@ -175,14 +166,13 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         ("coupling_identity", 1e-12, lambda: (c.gamma_plus**2 - c.gamma_minus**2, 1.0, "")),
         ("evolved_op_identity", 1e-12, coeff_identity),
         ("eigenvalue_ladder", 1e-8, ladder),
-        ("vacuum_phonons", 1e-8, lambda: (vacuum_ground_phonon_number(c),
-                                          observable(excited_vacuum(c, basis), number), "")),
+        ("vacuum_phonons", 1e-8, vacuum),
         ("return_amplitude", 1e-8 if c.equal_frequencies else 1e-6, return_amplitude),
-        ("phonon_number", 1e-7,
-         lambda: (phonon_number(p0, c, ts[::4]), evolved(number, ts[::4]), f"p={p0}")),
+        ("phonon_number", 1e-7, lambda: (phonon_number(p0, c, ts[::4]),
+                                         oracle()[1].expectation(p0, ts[::4], number), f"p={p0}")),
         # an absolute energy: its rounding grows with its size
         ("excited_energy", 1e-8 * max(1.0, abs(energy)),
-         lambda: (energy, evolved(oracle(dim)[0], ts[::20]), "conserved")),
+         lambda: (energy, oracle()[1].expectation(p0, ts[::20], oracle()[0]), "conserved")),
         ("thermal_correlation", 1e-6, thermal),
         ("line_weights", 1e-8, line_weights),
         # sequential, not numpy's pairwise sum
@@ -191,14 +181,10 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     return [_row(check, label, tol, fn) for check, tol, fn in checks]
 
 
-def run_validation(specs, oracle_dim: int, thermal_dim: int) -> ValidationReport:
-    """Run the full battery for each (label, params, beta, initial_p) spec.
-
-    ``oracle_dim`` is used everywhere except the thermal row, which uses
-    ``thermal_dim`` levels (failures included, if that is too few).
-    """
+def run_validation(specs, oracle_dim: int) -> ValidationReport:
+    """Run the full battery for each (label, params, beta, initial_p) spec,
+    every oracle row from one ``oracle_dim``-level eigenbasis per spec."""
     rows: list[ValidationRow] = []
     for label, params, beta, p0 in specs:
-        rows.extend(_rows_for(label, params, beta, p0, oracle_dim, thermal_dim))
-    return ValidationReport(rows=tuple(rows), oracle_dim=oracle_dim,
-                            thermal_dim=thermal_dim)
+        rows.extend(_rows_for(label, params, beta, p0, oracle_dim))
+    return ValidationReport(rows=tuple(rows), oracle_dim=oracle_dim)

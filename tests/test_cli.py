@@ -100,14 +100,14 @@ def test_build_run_config_defaults():
     assert cfg.t_grid == (0.0, 2.0 * math.pi, 400)
     assert cfg.w_grid == (-4.0, 16.0, 1201)
     assert cfg.eta == pytest.approx(0.04)
-    assert cfg.oracle_dim == 128
+    assert cfg.oracle_dim == 256
     assert cfg.fmt == "csv"
     assert cfg.initial_p == 0
-    # thermal comparisons take 256 levels unless an oracle_dim key pins them
-    assert cfg.thermal_dim == 256
+    # one basis size for every oracle comparison
+    assert not hasattr(cfg, "thermal_dim")
     raw = {"omega_g": 1.0, "omega_e": 2.0, "lambda_g": 1.0, "oracle_dim": 64}
-    assert (build_run_config(raw).oracle_dim, build_run_config(raw).thermal_dim) == (64, 64)
-    assert build_run_config(dict(raw, oracle_dim="300")).thermal_dim == 300
+    assert build_run_config(raw).oracle_dim == 64
+    assert build_run_config(dict(raw, oracle_dim="300")).oracle_dim == 300
 
 
 def test_cli_imports_without_scipy():
@@ -259,14 +259,17 @@ def test_oracle_dim_is_reported_only_where_an_oracle_ran(tmp_path, capsys):
         code, out, _ = run([*args, "--config", str(cfg)], capsys)
         assert code == 0
         assert "oracle_dim" not in parse_csv(out)[0], args
-    for args, dim in ((["evolve"], "128"), (["spectrum", "--beta", "inf"], "128"),
-                      (["correlation"], "256"), (["spectrum"], "256")):
+    # every oracle comparison uses the one default size
+    for args in (["evolve"], ["spectrum", "--beta", "inf"], ["correlation"], ["spectrum"]):
         code, out, _ = run([*args, "--config", str(cfg), "--oracle"], capsys)
         assert code == 0
-        assert parse_csv(out)[0]["oracle_dim"] == dim, args
+        assert parse_csv(out)[0]["oracle_dim"] == "256", args
         code, out, _ = run([*args, "--config", str(cfg), "--oracle", "--format", "json"],
                            capsys)
-        assert json.loads(out)["meta"]["oracle_dim"] == int(dim), args
+        assert json.loads(out)["meta"]["oracle_dim"] == 256, args
+    with pytest.raises(SystemExit):
+        main(["evolve", "--help"])
+    assert "truncated-basis size (default 256)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_config_file_oracle_dim_pins_the_thermal_basis(tmp_path, capsys):
@@ -483,13 +486,14 @@ def test_thermal_grid_past_the_cap_is_a_numerical_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, message", [
     ("build_excited_hamiltonian", "assembled Hamiltonian is not Hermitian"),
-    ("observable", "expectation value has imaginary residue 0.001"),
+    ("expectation", "expectation value has imaginary residue 0.001"),
 ])
 def test_oracle_failure_is_a_numerical_error(monkeypatch, capsys, name, message):
     def failing(*args, **kwargs):
         raise OracleError(message)
 
-    monkeypatch.setattr(cli, name, failing)
+    # a function cli imports, or the Propagator method it calls
+    monkeypatch.setattr(cli if hasattr(cli, name) else oracle.Propagator, name, failing)
     code, out, err = run(["evolve", "--preset", "fig2-linear", "--oracle"], capsys)
     assert code == 3
     assert out == ""
@@ -510,6 +514,13 @@ def test_evolve_oracle_refuses_an_unresolvable_hamiltonian(tmp_path, capsys, set
     assert out == ""
     assert err.startswith("numerical error: Hamiltonian entries reach ")
     assert "cannot resolve the couplings" in err and err.count("\n") == 1
+
+
+@pytest.fixture
+def soft_config(tmp_path):
+    cfg = tmp_path / "soft.cfg"
+    cfg.write_text("omega_g = 1\nomega_e = 0.3\nlambda_g = 1.5\ninitial_p = 1\n")
+    return str(cfg)
 
 
 @pytest.fixture
@@ -534,10 +545,12 @@ def test_validate_reports_a_level_in_the_buffer_as_failed(buffer_level_config, c
                           "--oracle-dim", "3"], capsys)
     assert code == 1
     assert err == ""
-    row = next(line for line in out.splitlines()
-               if line.startswith("return_amplitude") and " config " in line)
-    assert "FAIL" in row and "TruncationError: level p=3" in row
-    assert out.splitlines()[-1].startswith("overall: FAIL")
+    # every row that evolves the level refuses it, none crashes
+    for check in ("return_amplitude", "phonon_number", "excited_energy"):
+        row = next(line for line in out.splitlines()
+                   if line.startswith(check) and " config " in line)
+        assert "FAIL" in row and "TruncationError: level p=3 lies in the truncation buffer" in row
+    assert out.splitlines()[-1] == "overall: FAIL (oracle dim 3)"
 
 
 def test_version_flag(capsys):
@@ -561,7 +574,7 @@ def test_validate_passes_at_default_sizes(capsys):
 
 def test_validate_diagonalises_once_per_set(monkeypatch):
     # every Propagator build, in validation or inside an oracle function,
-    # counted by basis size
+    # counted by basis size, and every eigh and SVD in numpy
     built = Counter()
     init = oracle.Propagator.__init__
 
@@ -575,28 +588,44 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
         listed.append(1)
         return spectrum_zero_T(c)
 
+    factored = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            factored[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def no_vacuum(c, basis):
+        raise AssertionError("validate reads the excited vacuum from its eigenbasis")
+
     monkeypatch.setattr(oracle.Propagator, "__init__", counting_init)
     monkeypatch.setattr(validation, "spectrum_zero_T", counting_lines)
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(oracle, "excited_vacuum", no_vacuum)
     specs = [("a", build_run_config({"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 1.0}).params,
               1.0, 0)]
-    report = validation.run_validation(specs, oracle_dim=64, thermal_dim=256)
+    report = validation.run_validation(specs, oracle_dim=64)
     assert report.all_passed
-    assert built == {64: 1, 256: 1}
+    assert built == {64: 1} and factored == {"eigh": 1}
     assert len(listed) == 1
-    # a pinned size serves the thermal row from the same diagonalisation
+    # one diagonalisation per set at any size, and no SVD
     built.clear()
-    report = validation.run_validation(specs * 2, oracle_dim=256, thermal_dim=256)
+    factored.clear()
+    report = validation.run_validation(specs * 2, oracle_dim=256)
     assert report.all_passed
-    assert built == {256: 2}
+    assert built == {256: 2} and factored == {"eigh": 2}
 
     def broken(c, basis):
         raise OracleError("assembled Hamiltonian is not Hermitian")
 
     monkeypatch.setattr(validation, "build_excited_hamiltonian", broken)
-    rows = validation.run_validation(specs, oracle_dim=64, thermal_dim=256).rows
+    rows = validation.run_validation(specs, oracle_dim=64).rows
     failed = {r.check for r in rows if not r.passed}
-    assert failed == {"eigenvalue_ladder", "return_amplitude", "phonon_number",
-                      "excited_energy", "thermal_correlation", "line_weights"}
+    assert failed == {"eigenvalue_ladder", "vacuum_phonons", "return_amplitude",
+                      "phonon_number", "excited_energy", "thermal_correlation",
+                      "line_weights"}
     assert all("not Hermitian" in r.note for r in rows if not r.passed)
 
     def no_lines(c):
@@ -604,7 +633,7 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
 
     # the shared T = 0 line list still fails each row that uses it
     monkeypatch.setattr(validation, "spectrum_zero_T", no_lines)
-    rows = validation.run_validation(specs, oracle_dim=64, thermal_dim=256).rows
+    rows = validation.run_validation(specs, oracle_dim=64).rows
     missed = {r.check for r in rows if "sum rule missed" in r.note and not r.passed}
     assert missed == {"line_weights", "line_sum_rule"}
 
@@ -620,7 +649,7 @@ def _preset_specs():
 def test_validate_runs_the_same_rows_on_every_set():
     # no row depends on the coupling: energy conservation is checked at
     # every frequency ratio
-    rows = validation.run_validation(_preset_specs(), oracle_dim=128, thermal_dim=256).rows
+    rows = validation.run_validation(_preset_specs(), oracle_dim=256).rows
     by_set = {}
     for r in rows:
         by_set.setdefault(r.label, []).append(r.check)
@@ -634,7 +663,7 @@ def test_validate_sees_a_relative_energy_error_of_1e7(monkeypatch):
     exact = validation.excited_mean_energy
     monkeypatch.setattr(validation, "excited_mean_energy",
                         lambda p, c: exact(p, c) * (1.0 + 1e-7))
-    rows = validation.run_validation(_preset_specs(), oracle_dim=128, thermal_dim=256).rows
+    rows = validation.run_validation(_preset_specs(), oracle_dim=256).rows
     energy = [r for r in rows if r.check == "excited_energy"]
     assert [r.label for r in energy] == list(preset_names())
     assert not any(r.passed for r in energy)
@@ -653,26 +682,61 @@ def test_validate_passes_a_large_electronic_energy(tmp_path, capsys, omega_e):
     assert code == 0, out
     row = next(line for line in out.splitlines()
                if line.startswith("excited_energy") and " config " in line)
-    assert " pass " in row and " 1e-01 " in row
+    assert " pass " in row and " 1.00e-01 " in row
 
 
-def test_validate_refuses_a_return_amplitude_that_leans_on_the_buffer(tmp_path, capsys):
+def test_validate_refuses_a_return_amplitude_that_leans_on_the_buffer(soft_config, capsys):
     # omega_e/omega_g = 0.3, lambda_g = 1.5, p = 1: at 128 levels the row
     # used to fail by 1.4e-6 as if the closed form were wrong
-    cfg = tmp_path / "soft.cfg"
-    cfg.write_text("omega_g = 1\nomega_e = 0.3\nlambda_g = 1.5\ninitial_p = 1\n")
-
     def row(dim):
-        _, out, _ = run(["validate", "--config", str(cfg), "--oracle-dim", dim], capsys)
+        _, out, _ = run(["validate", "--config", soft_config, "--oracle-dim", dim], capsys)
         return next(line for line in out.splitlines()
                     if line.startswith("return_amplitude") and " config " in line)
 
     assert "FAIL  [TruncationError: the eigenstates of level p=1 put weighted" in row("128")
     assert " pass " in row("256")
-    code, _, err = run(["evolve", "--config", str(cfg), "--oracle"], capsys)
+    code, _, err = run(["evolve", "--config", soft_config, "--oracle", "--oracle-dim", "128"],
+                       capsys)
     assert code == 3 and "p=1 put weighted buffer population" in err
-    assert run(["evolve", "--config", str(cfg), "--oracle", "--oracle-dim", "256"],
-               capsys)[0] == 0
+    assert run(["evolve", "--config", soft_config, "--oracle"], capsys)[0] == 0
+
+
+def _ladder_row(out, label):
+    return next(line for line in out.splitlines()
+                if line.startswith("eigenvalue_ladder") and f" {label} " in line)
+
+
+def test_validate_ladder_stops_at_the_first_eigenvector_on_the_buffer(soft_config, capsys):
+    # on the soft configuration eigenvector 39 is the first of the lowest 64
+    # with more than 1e-8 in the buffer of 256 levels; the levels below it
+    # agree with the ladder to 3.1e-12 (the whole 64 missed by 5.8e-2)
+    code, out, _ = run(["validate", "--config", soft_config], capsys)
+    assert code == 0, out
+    row = _ladder_row(out, "config")
+    assert row.endswith(" pass  [39 levels of 64]")
+    assert float(row.split()[4]) < 1e-11
+    for name in preset_names():
+        assert _ladder_row(out, name).endswith(" pass  [64 levels]")
+    # two clean levels still make a row; one does not
+    _, out, _ = run(["validate", "--config", soft_config, "--oracle-dim", "60"], capsys)
+    assert _ladder_row(out, "config").endswith(" pass  [2 levels of 15]")
+    code, out, _ = run(["validate", "--config", soft_config, "--oracle-dim", "56"], capsys)
+    assert code == 1
+    assert _ladder_row(out, "config").endswith(
+        " FAIL  [TruncationError: 1 of the lowest 14 eigenvectors stay off the buffer "
+        "(dim=56); increase the basis]")
+
+
+def test_validate_prints_the_tolerance_it_applies(capsys):
+    # excited_energy on fig2-linear applies 1e-8 * 1.5
+    code, out, _ = run(["validate", "--preset", "fig2-linear"], capsys)
+    assert code == 0
+    row = next(line for line in out.splitlines()
+               if line.startswith("excited_energy") and " fig2-linear " in line)
+    assert row.split()[5] == "1.50e-08"
+    head = out.splitlines()[0]
+    assert head.index("tol") + len("tol") == row.index("1.50e-08") + len("1.50e-08")
+    assert out.splitlines()[-1] == "overall: PASS (oracle dim 256)"
 
 
 def test_row_reports_the_first_worst_sample():

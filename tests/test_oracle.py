@@ -219,6 +219,58 @@ def test_buffer_contamination_raises():
         prop.evolve(OracleState.number_state(basis, 0), math.pi)
 
 
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("setup", ["displaced", "squeezed", "mixed"])
+def test_expectation_equals_per_time_observables(setup, p, request):
+    c = request.getfixturevalue(setup)
+    basis = TruncatedBasis(128)
+    h = build_excited_hamiltonian(c, basis)
+    prop = Propagator(h, basis)
+    ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 41)
+    number = np.arange(basis.dim, dtype=float)
+    b = destroy(basis)
+    state = OracleState.number_state(basis, p)
+    # a diagonal given as a vector, and two dense ops
+    for op, dense in ((number, np.diag(number)), (h, h), (b + b.T, b + b.T)):
+        got = prop.expectation(p, ts, op)
+        ref = np.array([observable(prop.evolve(state, t), dense) for t in ts])
+        assert got.shape == ts.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_expectation_refuses_a_buffer_crossing_at_any_time():
+    # lambda = 2 pushes ~16 quanta of excursion into a 12-level box
+    c = make(lam=2.0)
+    basis = TruncatedBasis(12)
+    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
+    state = OracleState.number_state(basis, 0)
+    number = np.arange(12.0)
+    ts = np.linspace(0.0, math.pi, 25)
+    crossed = []
+    for t in ts:  # Propagator.evolve is the per-time reference
+        try:
+            prop.evolve(state, t)
+            crossed.append(False)
+        except TruncationError:
+            crossed.append(True)
+    assert not crossed[0] and crossed[-1]
+    for t, bad in zip(ts, crossed):
+        if bad:
+            with pytest.raises(TruncationError, match=r"evolved state puts .* \(dim=12\); "
+                                                      r"increase the basis"):
+                prop.expectation(0, [0.0, t, 0.0], number)
+        else:
+            assert prop.expectation(0, [t], number)[0] == pytest.approx(
+                observable(prop.evolve(state, t), np.diag(number)), abs=1e-13)
+    for p in (11, 12, 40):  # in the buffer (from 11), or past the basis
+        with pytest.raises(TruncationError, match=f"level p={p} lies in the truncation buffer"):
+            prop.expectation(p, [0.0], number)
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        prop.expectation(-1, [0.0], number)
+    with pytest.raises(ValueError, match="operator is complex"):
+        prop.expectation(0, [0.0], number.astype(complex))
+
+
 def test_observable_guards():
     basis = TruncatedBasis(4)
     state = OracleState.number_state(basis, 2)
