@@ -10,8 +10,9 @@ validate     closed forms against the truncated-basis reference
 
 Configuration is a flat ``key = value`` text file; ``--preset`` loads a
 built-in setup and explicit flags override both. :func:`main` is the one
-pipeline: it loads the config, derives the couplings, asks the table
-command for its ``(meta, columns)`` and renders them as CSV or JSON.
+pipeline: it loads the config, derives the couplings, hands the table
+command the run's oracle (under ``--oracle``), asks it for its
+``(meta, columns)`` and renders them as CSV or JSON.
 ``validate`` prints its text report instead. Output is deterministic (no
 timestamps, fixed key order, floats at full precision) so reruns are
 byte-identical.
@@ -23,6 +24,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,15 +47,7 @@ from .analytic import (
 )
 from .errors import ConfigError, LineListError, OracleError, PoleError, TruncationError
 from .model import Couplings, ModelParams, ThermalParams, derive_couplings
-from .oracle import (
-    Propagator,
-    TruncatedBasis,
-    build_excited_hamiltonian,
-    franck_condon_weights,
-    thermal_correlation,
-    thermal_line_list,
-    window_broadened,
-)
+from .oracle import Propagator, TruncatedBasis, window_broadened
 from .presets import preset_config, preset_names
 from .validation import run_validation
 
@@ -303,9 +297,11 @@ def _load_config(args, required: bool = True) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # subcommands: each table command returns (meta, columns), where meta holds
-# only the entries it adds to the common header of _meta
+# only the entries it adds to the common header of _meta. ``oracle`` is None,
+# or builds the run's Propagator when called, after the closed-form columns,
+# so that an analytic refusal comes first and costs no diagonalisation
 
-def cmd_couplings(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
+def cmd_couplings(cfg: RunConfig, c: Couplings, oracle) -> tuple[dict, dict]:
     quantities = {
         "omega_g": c.omega_g,
         "omega_e": c.omega_e,
@@ -323,7 +319,7 @@ def cmd_couplings(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dic
     return {}, {"quantity": list(quantities), "value": list(quantities.values())}
 
 
-def cmd_evolve(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
+def cmd_evolve(cfg: RunConfig, c: Couplings, oracle) -> tuple[dict, dict]:
     ts = cfg.times()
     p0 = cfg.initial_p
     columns = {
@@ -333,18 +329,16 @@ def cmd_evolve(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
         "excited_phonons": [excited_phonon_number(p0, c)] * ts.size,  # conserved
     }
     if oracle:
-        basis = TruncatedBasis(cfg.oracle_dim)
-        prop = Propagator(build_excited_hamiltonian(c, basis), basis)
+        prop = oracle()
         ref = prop.return_amplitude(p0, ts, energy_offset=c.epsilon_e)
         columns["oracle_overlap_sq"] = list(np.abs(ref) ** 2)
         columns["oracle_ground_phonons"] = list(
-            prop.expectation(p0, ts, np.arange(basis.dim, dtype=float))
+            prop.expectation(p0, ts, np.arange(prop.basis.dim, dtype=float))
         )
-        return {"oracle_dim": cfg.oracle_dim}, columns
     return {}, columns
 
 
-def cmd_correlation(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
+def cmd_correlation(cfg: RunConfig, c: Couplings, oracle) -> tuple[dict, dict]:
     ts = cfg.times()
     g = correlation(cfg.thermal, c, ts)
     columns = {
@@ -353,16 +347,14 @@ def cmd_correlation(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, d
         "g_imag": list(g.imag),
         "g_abs_sq": list(np.abs(g) ** 2),
     }
-    meta = {}
     if oracle:
-        ref = thermal_correlation(cfg.thermal, c, TruncatedBasis(cfg.oracle_dim), ts)
+        ref = oracle().thermal_correlation(cfg.thermal, c, ts)
         columns["oracle_g_real"] = list(ref.real)
         columns["oracle_g_imag"] = list(ref.imag)
-        meta["oracle_dim"] = cfg.oracle_dim
-    return meta, columns
+    return {}, columns
 
 
-def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict]:
+def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle) -> tuple[dict, dict]:
     if cfg.thermal.is_zero_temperature:
         lines = spectrum_zero_T(c)
         columns = {
@@ -373,9 +365,7 @@ def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict
             "weight_over_2pi": list(lines.weight / (2.0 * math.pi)),
         }
         if oracle:
-            ref = franck_condon_weights(c, TruncatedBasis(cfg.oracle_dim), len(lines))
-            columns["oracle_weight"] = list(ref)
-            return {"oracle_dim": cfg.oracle_dim}, columns
+            columns["oracle_weight"] = list(oracle().franck_condon_weights(len(lines)))
         return {}, columns
     w = cfg.freqs()
     t_max = WINDOW_DECAY / cfg.eta
@@ -387,11 +377,10 @@ def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle: bool) -> tuple[dict, dict
         "absorption": list(windowed_spectrum(lines, w - c.omega_eg, cfg.eta, t_max)),
     }
     if oracle:
-        ref = thermal_line_list(cfg.thermal, c, TruncatedBasis(cfg.oracle_dim))
+        ref = oracle().thermal_line_list(cfg.thermal, c)
         columns["oracle_absorption"] = list(
             window_broadened(w - c.omega_eg, ref, cfg.eta, t_max)
         )
-        meta["oracle_dim"] = cfg.oracle_dim
     return meta, columns
 
 
@@ -460,8 +449,14 @@ def main(argv=None) -> int:
         cfg = _load_config(args, required=args.command != "validate")
         if args.command == "validate":
             return cmd_validate(args, cfg)
-        meta, columns = args.func(cfg, derive_couplings(cfg.params), args.oracle)
-        _emit(cfg, {**_meta(args.command, cfg), **meta}, columns)
+        c = derive_couplings(cfg.params)
+        head = _meta(args.command, cfg)
+        oracle = None
+        if args.oracle:
+            oracle = functools.partial(Propagator.of, c, TruncatedBasis(cfg.oracle_dim))
+            head["oracle_dim"] = cfg.oracle_dim
+        meta, columns = args.func(cfg, c, oracle)
+        _emit(cfg, {**head, **meta}, columns)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,11 +2,12 @@
 
 Everything here is deliberately direct: assemble the excited-surface
 Hamiltonian as a dense matrix over ground-mode number states, diagonalize
-it once, and propagate exactly in the eigenbasis. The closed forms in
-:mod:`indiboson.analytic` are validated against these routines, so
-nothing is imported from it: no formula and no container. Line lists come
-back in the same shape on both sides, a numpy record array with fields
-``offset`` and ``weight``.
+it once, and propagate exactly in the eigenbasis. ``Propagator.of(c,
+basis)`` does both, and every reference is one of its methods. The
+closed forms in :mod:`indiboson.analytic` are validated against these
+routines, so nothing is imported from it: no formula and no container.
+Line lists come back in the same shape on both sides, a numpy record
+array with fields ``offset`` and ``weight``.
 
 The Hamiltonian is real symmetric, so its eigenbasis is real. Propagation
 and the expectation values of real operators stay in real arithmetic: a
@@ -37,9 +38,6 @@ __all__ = [
     "build_excited_hamiltonian",
     "observable",
     "excited_vacuum",
-    "thermal_correlation",
-    "franck_condon_weights",
-    "thermal_line_list",
     "window_broadened",
 ]
 
@@ -142,7 +140,8 @@ def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """Eigendecomposition-backed propagator for a fixed Hamiltonian.
+    """Eigendecomposition-backed propagator for a fixed Hamiltonian, which
+    it keeps as ``hamiltonian``.
 
     It remembers the last state it evolved with that state's eigenbasis
     coefficients, as one (state, coefficients) tuple so that a concurrent
@@ -151,8 +150,14 @@ class Propagator:
 
     def __init__(self, hamiltonian: np.ndarray, basis: TruncatedBasis):
         self.basis = basis
-        self.energies, self.modes = np.linalg.eigh(np.asarray(hamiltonian, dtype=float))
+        self.hamiltonian = hamiltonian
+        self.energies, self.modes = np.linalg.eigh(hamiltonian)
         self._last = (None, None)
+
+    @classmethod
+    def of(cls, c: Couplings, basis: TruncatedBasis) -> "Propagator":
+        """The excited-surface Hamiltonian of ``c`` in ``basis``, diagonalised."""
+        return cls(build_excited_hamiltonian(c, basis), basis)
 
     def evolve(self, state: OracleState, t: float) -> OracleState:
         last, coeffs = self._last
@@ -245,6 +250,17 @@ class Propagator:
         weights = 2.0 * np.pi * self.modes[0, :count] ** 2
         self.check_leak(weights, "line weights")
         return weights
+
+    def thermal_line_list(self, th: ThermalParams, c: Couplings) -> np.recarray:
+        """Absorption lines from eigenbasis transition amplitudes, as a record
+        array of offsets from the gap and weights, ground level by ground
+        level, pruned below 1e-12 in units of 2*pi."""
+        weights = _thermal_weights(th, c, self.basis)
+        evib = self.energies - c.epsilon_e
+        line_w = weights[:, None] * self.modes[: weights.size, :] ** 2
+        p, n = np.nonzero(line_w >= _THERMAL_WEIGHT_FLOOR)  # row-major: p, then n
+        return np.rec.fromarrays([evib[n] - c.omega_g * (p + 0.5), 2.0 * np.pi * line_w[p, n]],
+                                 names="offset,weight")
 
 
 def _is_diagonal(op: np.ndarray) -> bool:
@@ -362,30 +378,17 @@ def _check_thermal_buffer(prop: Propagator, weights: np.ndarray, ts: np.ndarray)
         )
 
 
-def thermal_correlation(th: ThermalParams, c: Couplings, basis: TruncatedBasis,
-                        ts) -> np.ndarray:
-    """:meth:`Propagator.thermal_correlation` of the excited-surface
-    Hamiltonian in ``basis``."""
-    return Propagator(build_excited_hamiltonian(c, basis), basis).thermal_correlation(th, c, ts)
+# perfbench imports these; removable with ROADMAP item 1
+def thermal_correlation(th, c, basis, ts):
+    return Propagator.of(c, basis).thermal_correlation(th, c, ts)
 
 
-def franck_condon_weights(c: Couplings, basis: TruncatedBasis, count: int) -> np.ndarray:
-    """:meth:`Propagator.franck_condon_weights` of the excited-surface
-    Hamiltonian in ``basis``."""
-    return Propagator(build_excited_hamiltonian(c, basis), basis).franck_condon_weights(count)
+def franck_condon_weights(c, basis, count):
+    return Propagator.of(c, basis).franck_condon_weights(count)
 
 
-def thermal_line_list(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> np.recarray:
-    """Absorption lines from eigenbasis transition amplitudes, as a record
-    array of offsets from the gap and weights, ground level by ground
-    level, pruned below 1e-12 in units of 2*pi."""
-    weights = _thermal_weights(th, c, basis)
-    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
-    evib = prop.energies - c.epsilon_e
-    line_w = weights[:, None] * prop.modes[: weights.size, :] ** 2
-    p, n = np.nonzero(line_w >= _THERMAL_WEIGHT_FLOOR)  # row-major: p, then n
-    return np.rec.fromarrays([evib[n] - c.omega_g * (p + 0.5), 2.0 * np.pi * line_w[p, n]],
-                             names="offset,weight")
+def thermal_line_list(th, c, basis):
+    return Propagator.of(c, basis).thermal_line_list(th, c)
 
 
 def window_broadened(w_offsets, lines, eta: float, t_max: float) -> np.ndarray:

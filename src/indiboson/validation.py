@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .model import ModelParams, ThermalParams, derive_couplings, time_coeffs
 from .errors import TruncationError
-from .oracle import BUFFER_TOL, Propagator, TruncatedBasis, build_excited_hamiltonian
+from .oracle import BUFFER_TOL, Propagator, TruncatedBasis
 
 __all__ = ["ValidationRow", "ValidationReport", "run_validation"]
 
@@ -116,8 +116,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
     def oracle():
         # one diagonalisation per parameter set; a failure here raises
         # inside each row that asks, as that row's failure
-        h = build_excited_hamiltonian(c, basis)
-        return h, Propagator(h, basis)
+        return Propagator.of(c, basis)
 
     @cache
     def zero_T_lines():  # one line list per parameter set, like oracle()
@@ -129,7 +128,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
 
     def ladder():
         # from the bottom up, up to the first eigenvector that leans on the buffer
-        prop = oracle()[1]
+        prop = oracle()
         n_chk = max(2, dim // 4)
         clean = np.sum(prop.modes[basis.buffer_start :, :n_chk] ** 2, axis=0) <= BUFFER_TOL
         count = n_chk if clean.all() else int(np.argmin(clean))
@@ -142,22 +141,22 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
 
     def vacuum():
         # the excited vacuum is the lowest eigenvector of H_e
-        prop = oracle()[1]
+        prop = oracle()
         prop.check_leak(np.ones(1), "the excited vacuum")
         return vacuum_ground_phonon_number(c), number @ prop.modes[:, 0] ** 2, ""
 
     def return_amplitude():
-        ref = oracle()[1].return_amplitude(p0, ts, energy_offset=c.epsilon_e)
+        ref = oracle().return_amplitude(p0, ts, energy_offset=c.epsilon_e)
         return overlap(p0, c, ts), ref, f"p={p0}, {ts.size} times"
 
     def thermal():
-        ref = oracle()[1].thermal_correlation(th, c, ts)
+        ref = oracle().thermal_correlation(th, c, ts)
         return correlation(th, c, ts), ref, f"dim={dim}"
 
     def line_weights():
         lst = zero_T_lines()
         count = min(len(lst), basis.buffer_start)
-        ref = oracle()[1].franck_condon_weights(count)
+        ref = oracle().franck_condon_weights(count)
         note = f"{count} lines" + ("" if count == len(lst) else f" of {len(lst)}")
         return lst.weight[:count], ref, note
 
@@ -169,10 +168,10 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         ("vacuum_phonons", 1e-8, vacuum),
         ("return_amplitude", 1e-8 if c.equal_frequencies else 1e-6, return_amplitude),
         ("phonon_number", 1e-7, lambda: (phonon_number(p0, c, ts[::4]),
-                                         oracle()[1].expectation(p0, ts[::4], number), f"p={p0}")),
+                                         oracle().expectation(p0, ts[::4], number), f"p={p0}")),
         # an absolute energy: its rounding grows with its size
         ("excited_energy", 1e-8 * max(1.0, abs(energy)),
-         lambda: (energy, oracle()[1].expectation(p0, ts[::20], oracle()[0]), "conserved")),
+         lambda: (energy, oracle().expectation(p0, ts[::20], oracle().hamiltonian), "conserved")),
         ("thermal_correlation", 1e-6, thermal),
         ("line_weights", 1e-8, line_weights),
         # sequential, not numpy's pairwise sum

@@ -492,12 +492,71 @@ def test_oracle_failure_is_a_numerical_error(monkeypatch, capsys, name, message)
     def failing(*args, **kwargs):
         raise OracleError(message)
 
-    # a function cli imports, or the Propagator method it calls
-    monkeypatch.setattr(cli if hasattr(cli, name) else oracle.Propagator, name, failing)
+    # the function Propagator.of calls, or the Propagator method cli calls
+    monkeypatch.setattr(oracle if hasattr(oracle, name) else oracle.Propagator, name, failing)
     code, out, err = run(["evolve", "--preset", "fig2-linear", "--oracle"], capsys)
     assert code == 3
     assert out == ""
     assert err == f"numerical error: {message}\n"
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every Propagator built, counted: one diagonalisation each."""
+    count = []
+    init = oracle.Propagator.__init__
+
+    def counting_init(self, hamiltonian, basis):
+        count.append(basis.dim)
+        init(self, hamiltonian, basis)
+
+    monkeypatch.setattr(oracle.Propagator, "__init__", counting_init)
+    return count
+
+
+@pytest.mark.parametrize("args", [["couplings"], ["evolve"], ["correlation"], ["spectrum"],
+                                  ["spectrum", "--beta", "inf"]])
+def test_an_oracle_run_builds_one_propagator(capsys, built, args):
+    code, _, err = run([*args, "--preset", "fig2-both"], capsys)
+    assert code == 0, err
+    assert built == []
+    if args[0] != "couplings":
+        code, _, err = run([*args, "--preset", "fig2-both", "--oracle"], capsys)
+        assert code == 0, err
+        assert built == [256]
+
+
+@pytest.mark.parametrize("setup, args, code, message", [
+    ("omega_g = 1\nomega_e = 1\nlambda_g = 1\nepsilon_e = 1e8\nbeta = 1\n"
+     "w_min = -1e200\nw_max = 1e200\n", [], 2, "leave the float range of the line shape"),
+    ("omega_g = 1\nomega_e = 1\nlambda_g = 1e16\n", ["--beta", "inf"], 3,
+     "spectral weight 0 underflows"),
+], ids=["window", "zero-T-lines"])
+def test_an_analytic_refusal_comes_before_the_oracle(tmp_path, capsys, built, setup, args,
+                                                     code, message):
+    # both Hamiltonians are refused too; the analytic side speaks first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setup)
+    got, out, err = run(["spectrum", "--config", str(cfg), *args, "--oracle"], capsys)
+    assert (got, out) == (code, "")
+    assert message in err and err.count("\n") == 1
+    assert built == []
+
+
+def test_commands_reach_the_oracle_only_through_propagator(monkeypatch, capsys):
+    def retired(*args, **kwargs):
+        raise AssertionError("an oracle module function was called")
+
+    for name in ("thermal_correlation", "franck_condon_weights", "thermal_line_list"):
+        assert not hasattr(cli, name) and not hasattr(validation, name)
+        monkeypatch.setattr(oracle, name, retired)
+    for args in (["evolve"], ["correlation"], ["spectrum"], ["spectrum", "--beta", "inf"],
+                 ["evolve", "--beta", "inf"], ["correlation", "--beta", "inf"]):
+        code, _, err = run([*args, "--preset", "fig2-both", "--oracle"], capsys)
+        assert code == 0, (args, err)
+    code, out, err = run(["validate"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[-1] == "overall: PASS (oracle dim 256)"
 
 
 @pytest.mark.parametrize("setup", [
@@ -620,7 +679,7 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     def broken(c, basis):
         raise OracleError("assembled Hamiltonian is not Hermitian")
 
-    monkeypatch.setattr(validation, "build_excited_hamiltonian", broken)
+    monkeypatch.setattr(oracle, "build_excited_hamiltonian", broken)
     rows = validation.run_validation(specs, oracle_dim=64).rows
     failed = {r.check for r in rows if not r.passed}
     assert failed == {"eigenvalue_ladder", "vacuum_phonons", "return_amplitude",
