@@ -129,27 +129,6 @@ class RunConfig:
     def freqs(self) -> np.ndarray:
         return np.linspace(*self.w_grid)
 
-    def echo(self) -> dict:
-        p = self.params
-        return {
-            "epsilon_g": p.epsilon_g,
-            "epsilon_e": p.epsilon_e,
-            "omega_g": p.omega_g,
-            "omega_e": p.omega_e,
-            "shift_l": p.shift_l,
-            "lambda_g": p.shift_l * math.sqrt(p.omega_g / 2.0),
-            "beta": self.thermal.beta if math.isfinite(self.thermal.beta) else "inf",
-            "initial_p": self.initial_p,
-            "t_min": self.t_grid[0],
-            "t_max": self.t_grid[1],
-            "t_points": self.t_grid[2],
-            "w_min": self.w_grid[0],
-            "w_max": self.w_grid[1],
-            "w_points": self.w_grid[2],
-            "eta": self.eta,
-            "format": self.fmt,
-        }
-
 
 def build_run_config(raw: dict) -> RunConfig:
     """Resolve a flat mapping (strings or numbers) into a RunConfig."""
@@ -271,11 +250,29 @@ def _emit(cfg: RunConfig, meta: dict, columns: dict):
         Path(cfg.out).write_text(text)
 
 
-def _meta(command: str, cfg: RunConfig) -> dict:
-    meta = {"tool": "indiboson", "version": __version__, "command": command,
-            "units": "hbar = 1; energies in the input units, times in their inverse"}
-    meta.update(cfg.echo())
-    return meta
+def _meta(command: str, cfg: RunConfig, c: Couplings) -> dict:
+    """The common header: the tool, then the resolved configuration."""
+    p = cfg.params
+    return {
+        "tool": "indiboson", "version": __version__, "command": command,
+        "units": "hbar = 1; energies in the input units, times in their inverse",
+        "epsilon_g": p.epsilon_g,
+        "epsilon_e": p.epsilon_e,
+        "omega_g": p.omega_g,
+        "omega_e": p.omega_e,
+        "shift_l": p.shift_l,
+        "lambda_g": c.lambda_g,
+        "beta": cfg.thermal.beta if math.isfinite(cfg.thermal.beta) else "inf",
+        "initial_p": cfg.initial_p,
+        "t_min": cfg.t_grid[0],
+        "t_max": cfg.t_grid[1],
+        "t_points": cfg.t_grid[2],
+        "w_min": cfg.w_grid[0],
+        "w_max": cfg.w_grid[1],
+        "w_points": cfg.w_grid[2],
+        "eta": cfg.eta,
+        "format": cfg.fmt,
+    }
 
 
 def _load_config(args, required: bool = True) -> RunConfig:
@@ -450,7 +447,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args, cfg)
         c = derive_couplings(cfg.params)
-        head = _meta(args.command, cfg)
+        head = _meta(args.command, cfg, c)
         oracle = None
         if args.oracle:
             oracle = functools.partial(Propagator.of, c, TruncatedBasis(cfg.oracle_dim))

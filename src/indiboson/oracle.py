@@ -14,9 +14,15 @@ and the expectation values of real operators stay in real arithmetic: a
 real matrix acts on a complex state through the state's (n, 2) float
 view, never through a complex copy of the matrix.
 
-The top eighth of the basis is treated as a buffer zone; population
-reaching it means the physics has hit the artificial wall and results are
-rejected via :class:`TruncationError` rather than silently degraded.
+The top eighth of the basis is a buffer: weight there means the physics
+has hit the artificial wall, so a result that puts more than BUFFER_TOL
+there is refused with :class:`TruncationError`, through one refusal
+(``_refuse_leak``), instead of silently degraded. A stationary reference
+(line weights, a return amplitude) is refused on the weighted buffer
+weight of its eigenvectors, ``weights @ Propagator.edge``: the long-time
+average of the buffer population. A state (an evolved state at every
+requested time, the thermal mixture likewise, the excited vacuum) is
+refused on its own buffer population.
 """
 
 from __future__ import annotations
@@ -132,16 +138,26 @@ class OracleState:
 
 
 def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec for a real matrix and a complex vector, as one real
-    product on the vector's (n, 2) float view of real and imaginary parts;
-    ``mat @ vec`` would first copy all of mat into a complex array."""
-    pairs = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2)
-    return (mat @ pairs).view(complex).reshape(-1)
+    """mat @ vec for a real matrix and a complex vector or (n, k) block, as
+    one real product on the float view of real and imaginary parts, (n, 2)
+    or (n, 2k); ``mat @ vec`` would first copy all of mat into a complex array."""
+    vec = np.ascontiguousarray(vec, dtype=complex)
+    pairs = vec.view(float).reshape(vec.shape[0], -1)
+    return (mat @ pairs).view(complex).reshape(vec.shape)
+
+
+def _refuse_leak(leak: float, what: str, basis: TruncatedBasis):
+    """The one buffer refusal: ``what`` may put at most BUFFER_TOL of
+    weighted population in the buffer (a NaN fails too)."""
+    if not leak <= BUFFER_TOL:
+        raise TruncationError(f"{what} put weighted buffer population {leak:.3e} "
+                              f"past the basis edge (dim={basis.dim}); increase the basis")
 
 
 class Propagator:
     """Eigendecomposition-backed propagator for a fixed Hamiltonian, which
-    it keeps as ``hamiltonian``.
+    it keeps as ``hamiltonian``; ``edge[n]`` is the buffer population of
+    eigenvector n.
 
     It remembers the last state it evolved with that state's eigenbasis
     coefficients, as one (state, coefficients) tuple so that a concurrent
@@ -152,6 +168,7 @@ class Propagator:
         self.basis = basis
         self.hamiltonian = hamiltonian
         self.energies, self.modes = np.linalg.eigh(hamiltonian)
+        self.edge = np.sum(self.modes[basis.buffer_start :] ** 2, axis=0)
         self._last = (None, None)
 
     @classmethod
@@ -167,22 +184,13 @@ class Propagator:
         phases = np.exp(-1j * self.energies * t)
         amps = _real_matvec(self.modes, phases * coeffs)
         out = OracleState(amps, self.basis)
-        if out.buffer_population > BUFFER_TOL:
-            raise TruncationError(
-                f"evolved state puts {out.buffer_population:.3e} of its weight in "
-                f"the truncation buffer (dim={self.basis.dim}); increase the basis"
-            )
+        _refuse_leak(out.buffer_population, "the evolved state", self.basis)
         return out
 
     def check_leak(self, weights: np.ndarray, what: str):
-        """Refuse eigenstate weights w_n, n = 0..len-1, that put more than
-        BUFFER_TOL on the buffer: sum_n w_n * (buffer population of
-        eigenstate n)."""
-        start = self.basis.buffer_start
-        leak = float(weights @ np.sum(self.modes[start:, : weights.size] ** 2, axis=0))
-        if not leak <= BUFFER_TOL:  # a NaN fails too
-            raise TruncationError(f"{what} put weighted buffer population {leak:.3e} "
-                                  f"past the basis edge (dim={self.basis.dim}); increase the basis")
+        """Refuse eigenstate weights w_n, n = 0..len-1, whose weighted
+        buffer population sum_n w_n * edge[n] exceeds BUFFER_TOL."""
+        _refuse_leak(float(weights @ self.edge[: weights.size]), what, self.basis)
 
     def _check_level(self, p: int):
         """Refuse a negative level and a level in the truncation buffer."""
@@ -218,9 +226,7 @@ class Propagator:
         im = self.modes @ (np.sin(phase, out=phase) * col)  # its sign drops out
         pops = re**2 + im**2
         leak = float(np.max(np.sum(pops[self.basis.buffer_start :], axis=0), initial=0.0))
-        if not leak <= BUFFER_TOL:  # a NaN fails too
-            raise TruncationError(f"evolved state puts {leak:.3e} of its weight in the truncation "
-                                  f"buffer (dim={self.basis.dim}); increase the basis")
+        _refuse_leak(leak, "the evolved state", self.basis)
         if op.ndim == 1:
             return op @ pops
         return np.sum(re * (op @ re), axis=0) + np.sum(im * (op @ im), axis=0)
@@ -228,16 +234,29 @@ class Propagator:
     def thermal_correlation(self, th: ThermalParams, c: Couplings, ts) -> np.ndarray:
         """Thermal dipole correlation from the truncated basis:
         sum_p w_p e^{-i omega_eg t} e^{i omega_g t (p+1/2)}
-        <p| e^{-i (H_e - eps_e) t} |p>, for the Hamiltonian of ``c``."""
+        <p| e^{-i (H_e - eps_e) t} |p>, for the Hamiltonian of ``c``;
+        refused when the mixture sum_p w_p |p><p| puts more than
+        BUFFER_TOL in the buffer at any of ts."""
         ts = np.asarray(ts, dtype=float)
         weights = _thermal_weights(th, c, self.basis)
-        evib = self.energies - c.epsilon_e
-        ps = np.arange(weights.size)
-        ret = (self.modes[: weights.size, :] ** 2) @ np.exp(-1j * np.outer(evib, ts))
-        phases = np.exp(1j * c.omega_g * np.outer(ps + 0.5, ts))
-        _check_thermal_buffer(self, weights, ts)
+        e = np.exp(-1j * np.outer(self.energies - c.epsilon_e, ts))
+        leak = float(np.max(self._mixture_buffer(weights, e), initial=0.0))
+        _refuse_leak(leak, "the thermal mixture", self.basis)
+        ret = (self.modes[: weights.size] ** 2) @ e
+        phases = np.exp(1j * c.omega_g * np.outer(np.arange(weights.size) + 0.5, ts))
         g = (weights[:, None] * phases * ret).sum(axis=0)
         return g * np.exp(-1j * c.omega_eg * ts)
+
+    def _mixture_buffer(self, weights: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Buffer population of the evolved mixture sum_p w_p |p><p| at each
+        column of the eigenbasis phases e (dim, n_t), exactly:
+        Re sum_m conj(e_m) (C e)_m with C = (V_buf^T V_buf) o (V_p^T diag(w) V_p),
+        a real matrix applied in real arithmetic; a common phase cancels."""
+        v_buf = self.modes[self.basis.buffer_start :]
+        v_p = self.modes[: weights.size]
+        mix = (v_buf.T @ v_buf) * ((v_p.T * weights) @ v_p)
+        ce = _real_matvec(mix, e)
+        return np.einsum("nt,nt->t", e.real, ce.real) + np.einsum("nt,nt->t", e.imag, ce.imag)
 
     def franck_condon_weights(self, count: int) -> np.ndarray:
         """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
@@ -331,11 +350,7 @@ def excited_vacuum(c: Couplings, basis: TruncatedBasis) -> OracleState:
     if vec[0] != 0.0:
         vec = vec * np.sign(vec[0])  # ground-state coefficient is positive
     state = OracleState(vec.astype(complex), basis)
-    if state.buffer_population > BUFFER_TOL:
-        raise TruncationError(
-            f"excited vacuum leaks {state.buffer_population:.3e} into the "
-            f"truncation buffer (dim={n}); increase the basis"
-        )
+    _refuse_leak(state.buffer_population, "the excited vacuum", basis)
     return state
 
 
@@ -357,25 +372,6 @@ def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> 
             )
         w *= boltz
     return np.array(weights)
-
-
-def _check_thermal_buffer(prop: Propagator, weights: np.ndarray, ts: np.ndarray):
-    """Weighted buffer occupancy on a coarse time subset; high-p states may
-    trespass individually but only their Boltzmann-weighted sum matters."""
-    basis = prop.basis
-    v_buf = prop.modes[basis.buffer_start :, :]
-    v_init = prop.modes[: weights.size, :]
-    sample = ts[:: max(1, ts.size // 8)]
-    worst = 0.0
-    for t in sample:
-        u = (v_buf * np.exp(-1j * prop.energies * t)) @ v_init.T
-        per_state = np.sum(np.abs(u) ** 2, axis=0)
-        worst = max(worst, float(weights @ per_state))
-    if worst > BUFFER_TOL:
-        raise TruncationError(
-            f"thermal evolution puts weighted buffer population {worst:.3e} "
-            f"past the basis edge (dim={basis.dim}); increase the basis"
-        )
 
 
 # perfbench imports these; removable with ROADMAP item 1

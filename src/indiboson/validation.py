@@ -130,7 +130,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         # from the bottom up, up to the first eigenvector that leans on the buffer
         prop = oracle()
         n_chk = max(2, dim // 4)
-        clean = np.sum(prop.modes[basis.buffer_start :, :n_chk] ** 2, axis=0) <= BUFFER_TOL
+        clean = prop.edge[:n_chk] <= BUFFER_TOL
         count = n_chk if clean.all() else int(np.argmin(clean))
         if count < 2:
             raise TruncationError(f"{count} of the lowest {n_chk} eigenvectors stay off "

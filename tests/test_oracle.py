@@ -7,6 +7,7 @@ contamination is detected instead of averaged away.
 
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from indiboson.analytic import excited_mean_energy, excited_phonon_number, spectrum_zero_T
-from indiboson.cli import main
+from indiboson.cli import build_run_config, main, parse_config_text
 from indiboson.errors import OracleError, TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
+from indiboson.presets import preset_config, preset_names
 from indiboson import oracle
 from indiboson.oracle import (
     BUFFER_TOL,
@@ -32,6 +34,7 @@ from indiboson.oracle import (
     thermal_line_list,
     window_broadened,
     _real_matvec,
+    _refuse_leak,
     _thermal_weights,
 )
 from displaced import vacuum_expansion_linear  # the tests' displaced-vacuum reference
@@ -256,7 +259,8 @@ def test_expectation_refuses_a_buffer_crossing_at_any_time():
     assert not crossed[0] and crossed[-1]
     for t, bad in zip(ts, crossed):
         if bad:
-            with pytest.raises(TruncationError, match=r"evolved state puts .* \(dim=12\); "
+            with pytest.raises(TruncationError, match=r"evolved state put weighted buffer "
+                                                      r"population .* \(dim=12\); "
                                                       r"increase the basis"):
                 prop.expectation(0, [0.0, t, 0.0], number)
         else:
@@ -505,6 +509,88 @@ def test_thermal_correlation_starts_near_one_and_matches_closed_form():
     # weights below the 1e-12 floor are dropped, so G(0) is 1 minus dust
     assert abs(g[0] - 1.0) < 5e-12
     assert g == pytest.approx(correlation(th, c, ts), abs=1e-9)
+
+
+# omega_e/omega_g = 0.5, lambda_g = 5, beta*omega_g = 1: at 256 levels the
+# thermal mixture passes BUFFER_TOL at few of the CLI's 400 times and at
+# none of every eighth (1.8e-10 at most there, 1.6e-8 at the worst time),
+# so a check on sampled times would miss it
+BETWEEN_SAMPLES = "omega_g = 1\nomega_e = 0.5\nlambda_g = 5\nbeta = 1\n"
+
+
+def _per_time_mixture_buffer(prop, weights, ts):
+    """Buffer population of sum_p w_p |p><p| evolved to each t, one time at
+    a time: sum_p w_p sum_{k in buffer} |<k| e^{-iHt} |p>|**2."""
+    v_buf = prop.modes[prop.basis.buffer_start :]
+    v_p = prop.modes[: weights.size]
+    return np.array([
+        weights @ np.sum(np.abs((v_buf * np.exp(-1j * prop.energies * t)) @ v_p.T) ** 2, axis=0)
+        for t in ts
+    ])
+
+
+@pytest.mark.parametrize("source", [*preset_names(),
+                                    "omega_g = 1\nomega_e = 1\nlambda_g = 4\nbeta = 2\n",
+                                    BETWEEN_SAMPLES])
+def test_thermal_buffer_population_is_exact_at_every_time(source):
+    raw = preset_config(source) if source in preset_names() else parse_config_text(source)
+    cfg = build_run_config(raw)
+    c = derive_couplings(cfg.params)
+    prop = Propagator.of(c, TruncatedBasis(256))
+    weights = _thermal_weights(cfg.thermal, c, prop.basis)
+    ts = cfg.times()
+    # a common phase cancels, so the phases may carry any energy offset
+    got = prop._mixture_buffer(weights, np.exp(-1j * np.outer(prop.energies - 0.3, ts)))
+    ref = _per_time_mixture_buffer(prop, weights, ts)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_thermal_correlation_refuses_a_crossing_between_samples(tmp_path, capsys):
+    cfg = tmp_path / "between.cfg"
+    cfg.write_text(BETWEEN_SAMPLES)
+    assert main(["correlation", "--config", str(cfg), "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r"thermal mixture put weighted buffer population 1\.6\d\de-08 ", err)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if " FAIL  " in line]
+    assert len(rows) == 1 and rows[0].startswith("thermal_correlation    config ")
+    assert "FAIL  [TruncationError: the thermal mixture put weighted buffer population" in rows[0]
+    assert out.splitlines()[-1] == "overall: FAIL (oracle dim 256)"
+
+
+@pytest.mark.parametrize("path, coupling, dim, what", [
+    # lambda = 2 pushes ~16 quanta of excursion into a 12-level box
+    ("evolve", dict(lam=2.0), 12, "the evolved state"),
+    ("expectation", dict(lam=2.0), 12, "the evolved state"),
+    ("thermal_correlation", dict(lam=2.0), 12, "the thermal mixture"),
+    ("excited_vacuum", dict(lam=2.0), 12, "the excited vacuum"),
+    ("return_amplitude", dict(omega_e=1.7, lam=0.5), 16, "the eigenstates of level p=13"),
+    ("franck_condon_weights", dict(omega_e=1.5, lam=6.0), 128, "line weights"),
+])
+def test_every_buffer_refusal_shares_one_wording(path, coupling, dim, what):
+    c = make(**coupling)
+    basis = TruncatedBasis(dim)
+    prop = Propagator.of(c, basis)
+    calls = {
+        "evolve": lambda: prop.evolve(OracleState.number_state(basis, 0), math.pi),
+        "expectation": lambda: prop.expectation(0, [0.0, math.pi], np.arange(dim, dtype=float)),
+        "thermal_correlation": lambda: prop.thermal_correlation(ThermalParams(5.0), c,
+                                                                [0.0, math.pi]),
+        "excited_vacuum": lambda: excited_vacuum(c, basis),
+        "return_amplitude": lambda: prop.return_amplitude(13, [0.0]),
+        "franck_condon_weights": lambda: prop.franck_condon_weights(60),
+    }
+    wording = (rf"^{re.escape(what)} put weighted buffer population \d\.\d{{3}}e[-+]\d\d "
+               rf"past the basis edge \(dim={dim}\); increase the basis$")
+    with pytest.raises(TruncationError, match=wording):
+        calls[path]()
+
+
+def test_a_nan_buffer_population_is_refused():
+    with pytest.raises(TruncationError, match="population nan past the basis edge"):
+        _refuse_leak(math.nan, "the evolved state", TruncatedBasis(8))
 
 
 def test_thermal_weights_overflow_small_basis():
