@@ -130,6 +130,20 @@ class RunConfig:
         return np.linspace(*self.w_grid)
 
 
+def _grid(raw: dict, axis: str, lo: float, hi: float, points: int) -> tuple[float, float, int]:
+    """<axis>_min, _max and _points: an increasing finite span, two points at least."""
+    lo = _as_float(raw, f"{axis}_min", lo)
+    hi = _as_float(raw, f"{axis}_max", hi)
+    points = _as_int(raw, f"{axis}_points", points)
+    if hi <= lo:
+        raise ConfigError(f"{axis}_max must exceed {axis}_min, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{axis} span [{lo}, {hi}] is wider than the float range")
+    if points < 2:
+        raise ConfigError(f"{axis}_points must be >= 2, got {points}")
+    return lo, hi, points
+
+
 def build_run_config(raw: dict) -> RunConfig:
     """Resolve a flat mapping (strings or numbers) into a RunConfig."""
     for key in raw:
@@ -160,25 +174,10 @@ def build_run_config(raw: dict) -> RunConfig:
     initial_p = _as_int(raw, "initial_p", 0)
     if initial_p < 0:
         raise ConfigError(f"initial_p must be >= 0, got {initial_p}")
-    t_min = _as_float(raw, "t_min", 0.0)
-    t_max = _as_float(raw, "t_max", 4.0 * math.pi / params.omega_e)
-    t_points = _as_int(raw, "t_points", 400)
-    if t_max <= t_min:
-        raise ConfigError(f"t_max must exceed t_min, got [{t_min}, {t_max}]")
-    if not math.isfinite(t_max - t_min):
-        raise ConfigError(f"t span [{t_min}, {t_max}] is wider than the float range")
-    if t_points < 2:
-        raise ConfigError(f"t_points must be >= 2, got {t_points}")
+    t_grid = _grid(raw, "t", 0.0, 4.0 * math.pi / params.omega_e, 400)
     omega_eg = params.epsilon_e - params.epsilon_g
-    w_min = _as_float(raw, "w_min", omega_eg - 2.0 * params.omega_e)
-    w_max = _as_float(raw, "w_max", omega_eg + 8.0 * params.omega_e)
-    w_points = _as_int(raw, "w_points", 1201)
-    if w_max <= w_min:
-        raise ConfigError(f"w_max must exceed w_min, got [{w_min}, {w_max}]")
-    if not math.isfinite(w_max - w_min):
-        raise ConfigError(f"w span [{w_min}, {w_max}] is wider than the float range")
-    if w_points < 2:
-        raise ConfigError(f"w_points must be >= 2, got {w_points}")
+    w_grid = _grid(raw, "w", omega_eg - 2.0 * params.omega_e,
+                   omega_eg + 8.0 * params.omega_e, 1201)
     eta = _as_float(raw, "eta", 0.02 * params.omega_e)
     if eta <= 0.0:
         raise ConfigError(f"eta must be > 0, got {eta}")
@@ -193,8 +192,8 @@ def build_run_config(raw: dict) -> RunConfig:
         params=params,
         thermal=thermal,
         initial_p=initial_p,
-        t_grid=(t_min, t_max, t_points),
-        w_grid=(w_min, w_max, w_points),
+        t_grid=t_grid,
+        w_grid=w_grid,
         eta=eta,
         oracle_dim=oracle_dim,
         fmt=fmt,
@@ -286,9 +285,7 @@ def _load_config(args, required: bool = True) -> RunConfig:
         if required:
             raise ConfigError("a --preset or --config is required")
         raw = {"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 0.0}
-    for key in ("beta", "eta", "format", "out", "oracle_dim"):
-        if getattr(args, key) is not None:
-            raw[key] = getattr(args, key)
+    raw.update({k: v for k, v in vars(args).items() if k in _ALL_KEYS and v is not None})
     return build_run_config(raw)
 
 

@@ -18,11 +18,12 @@ The top eighth of the basis is a buffer: weight there means the physics
 has hit the artificial wall, so a result that puts more than BUFFER_TOL
 there is refused with :class:`TruncationError`, through one refusal
 (``_refuse_leak``), instead of silently degraded. A stationary reference
-(line weights, a return amplitude) is refused on the weighted buffer
-weight of its eigenvectors, ``weights @ Propagator.edge``: the long-time
-average of the buffer population. A state (an evolved state at every
-requested time, the thermal mixture likewise, the excited vacuum) is
-refused on its own buffer population.
+(the T = 0 line weights, a return amplitude) is refused on the weighted
+buffer weight of its eigenvectors, ``weights @ Propagator.edge``: the
+long-time average of the buffer population. A state (an evolved state at
+every requested time, the thermal mixture likewise, the excited vacuum) is
+refused on its own buffer population. The thermal line list is the one
+reference that is not checked (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ import numpy as np
 from .errors import OracleError, TruncationError
 from .model import Couplings, ThermalParams
 
+# OracleState, observable, excited_vacuum, evolve and the shims: perfbench and tests only
 __all__ = [
     "BUFFER_TOL",
     "TruncatedBasis",
-    "OracleState",
     "Propagator",
     "destroy",
     "build_excited_hamiltonian",
-    "observable",
-    "excited_vacuum",
     "window_broadened",
 ]
 
@@ -211,15 +210,14 @@ class Propagator:
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
 
     def expectation(self, p: int, ts, op: np.ndarray) -> np.ndarray:
-        """<p(t)|op|p(t)> on ts for number state p and a real symmetric op,
-        given as a matrix or as its diagonal. The amplitudes
-        modes @ (e^{-i E t} modes[p]) are two real (dim, len(ts)) products,
-        cos and sin; refused for a level in the buffer, or when any time
-        puts more than BUFFER_TOL there."""
+        """<p(t)|op|p(t)> on ts for number state p and a real symmetric op
+        (:func:`_check_operator`), given as a matrix or as its diagonal. The
+        amplitudes modes @ (e^{-i E t} modes[p]) are two real (dim, len(ts))
+        products, cos and sin; refused for a level in the buffer, or when any
+        time puts more than BUFFER_TOL there."""
         self._check_level(p)
         op = np.asarray(op)
-        if np.iscomplexobj(op):
-            raise ValueError("operator is complex; expectation takes real symmetric operators")
+        _check_operator(op, "expectation")
         phase = np.outer(self.energies, np.asarray(ts, dtype=float))
         col = self.modes[p][:, None]
         re = self.modes @ (np.cos(phase) * col)
@@ -294,16 +292,12 @@ def _is_diagonal(op: np.ndarray) -> bool:
     return not op.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
 
 
-def observable(state: OracleState, op: np.ndarray) -> float:
-    """<state|op|state> for a real symmetric op; refuses a complex op, a
-    non-finite op and a nonreal result. The op is checked as max|op - op.T|
-    and applied in real arithmetic; a diagonal op passes that check by
-    construction, so only its diagonal is checked for finiteness, and it
-    is applied as its diagonal times the state, bit for bit the dense
-    product, which only adds zeros to each entry."""
-    op = np.asarray(op)
+def _check_operator(op: np.ndarray, taker: str) -> bool:
+    """Refuse a complex, non-finite or asymmetric op; return whether it is a
+    diagonal matrix. A diagonal, as a matrix or as a vector, is symmetric by
+    construction, so only the diagonal is checked for finiteness."""
     if np.iscomplexobj(op):
-        raise ValueError("operator is complex; observable takes real symmetric operators")
+        raise ValueError(f"operator is complex; {taker} takes real symmetric operators")
     diagonal = _is_diagonal(op)
     bulk = np.diagonal(op) if diagonal else op
     amax = max(abs(float(bulk.max())), abs(float(bulk.min())))  # NaN propagates
@@ -313,6 +307,15 @@ def observable(state: OracleState, op: np.ndarray) -> float:
     # the comparisons are written so that a NaN fails them
     if not asym <= 1e-13 * max(1.0, amax):
         raise ValueError("operator is not Hermitian")
+    return diagonal
+
+
+def observable(state: OracleState, op: np.ndarray) -> float:
+    """<state|op|state> for a real symmetric op (:func:`_check_operator`), in
+    real arithmetic, a diagonal op as its diagonal times the state: bit for
+    bit the dense product, which only adds zeros. Refuses a nonreal result."""
+    op = np.asarray(op)
+    diagonal = _check_operator(op, "observable")
     a = state.amplitudes
     value = complex(np.vdot(a, np.diagonal(op) * a if diagonal else _real_matvec(op, a)))
     if not abs(value.imag) <= 1e-10 * max(1.0, abs(value.real)):

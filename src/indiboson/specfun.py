@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["laguerre_seq", "laguerre_half_seq", "laguerre_half_at_zero"]
+__all__ = ["laguerre_half_seq", "laguerre_half_at_zero"]  # laguerre_seq: perfbench and tests only
 
 
 def _empty_seq(order: int, x):

@@ -94,6 +94,21 @@ def test_build_run_config_requirements():
         )
 
 
+@pytest.mark.parametrize("axis", ["t", "w"])
+def test_both_grid_axes_share_one_rule_and_its_wording(axis):
+    base = {"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 0.0}
+    for keys, message in (
+        ({"min": 1.0, "max": -1.0}, f"{axis}_max must exceed {axis}_min, got [1.0, -1.0]"),
+        ({"min": -1e308, "max": 1e308},
+         f"{axis} span [-1e+308, 1e+308] is wider than the float range"),
+        ({"points": 1}, f"{axis}_points must be >= 2, got 1"),
+    ):
+        raw = dict(base, **{f"{axis}_{k}": v for k, v in keys.items()})
+        with pytest.raises(ConfigError) as exc:
+            build_run_config(raw)
+        assert str(exc.value) == message
+
+
 def test_build_run_config_defaults():
     cfg = build_run_config({"omega_g": 1.0, "omega_e": 2.0, "lambda_g": 1.0})
     assert cfg.thermal.is_zero_temperature
@@ -110,12 +125,33 @@ def test_build_run_config_defaults():
     assert build_run_config(dict(raw, oracle_dim="300")).oracle_dim == 300
 
 
-def test_cli_imports_without_scipy():
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """A new interpreter that imports the package under test."""
     env = dict(os.environ, PYTHONPATH=str(Path(indiboson.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_imports_without_scipy():
     code = "import sys, indiboson.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python("-c", code).stdout.strip() == "[]"
+
+
+def test_package_root_binds_only_its_version():
+    # every name is imported from its module; the root loads none of them, nor numpy
+    code = ("import sys, indiboson; "
+            "print([n for n in vars(indiboson) if not n.startswith('_')], indiboson.__version__, "
+            "sorted(m for m in sys.modules if m.split('.')[0] in ('indiboson', 'numpy')))")
+    out = _fresh_python("-c", code)
+    assert out.stdout.strip() == f"[] {indiboson.__version__} ['indiboson']", out.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "from indiboson" in code
+    out = _fresh_python("-W", "error", "-c", code)
+    assert out.returncode == 0 and out.stdout, out.stderr
 
 
 # ---------------------------------------------------------------------------

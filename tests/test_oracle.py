@@ -273,6 +273,16 @@ def test_expectation_refuses_a_buffer_crossing_at_any_time():
         prop.expectation(-1, [0.0], number)
     with pytest.raises(ValueError, match="operator is complex"):
         prop.expectation(0, [0.0], number.astype(complex))
+    # the operators observable refuses: a NaN on a diagonal given as a vector,
+    # and an asymmetric matrix
+    nan_diagonal = number.copy()
+    nan_diagonal[5] = math.nan
+    with pytest.raises(ValueError, match="operator is not finite"):
+        prop.expectation(0, [0.0], nan_diagonal)
+    asym = np.diag(number)
+    asym[0, 1] = 5.0
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        prop.expectation(0, [0.0], asym)
 
 
 def test_observable_guards():
