@@ -324,8 +324,7 @@ def cmd_evolve(cfg: RunConfig, c: Couplings, oracle) -> tuple[dict, dict]:
     }
     if oracle:
         prop = oracle()
-        ref = prop.return_amplitude(p0, ts, energy_offset=c.epsilon_e)
-        columns["oracle_overlap_sq"] = list(np.abs(ref) ** 2)
+        columns["oracle_overlap_sq"] = list(np.abs(prop.return_amplitude(p0, ts)) ** 2)
         columns["oracle_ground_phonons"] = list(
             prop.expectation(p0, ts, np.arange(prop.basis.dim, dtype=float))
         )
@@ -381,7 +380,7 @@ def cmd_spectrum(cfg: RunConfig, c: Couplings, oracle) -> tuple[dict, dict]:
 def cmd_validate(args, cfg: RunConfig) -> int:
     specs = []
     if args.preset or args.config:
-        label = args.preset if (args.preset and not args.config) else "config"
+        label = "config" if args.config or args.beta is not None else args.preset
         specs.append((label, cfg.params, cfg.thermal.beta, cfg.initial_p))
     for name in preset_names():
         if any(label == name for label, *_ in specs):

@@ -1,13 +1,13 @@
 """Brute-force reference calculations in a truncated number basis.
 
-Everything here is deliberately direct: assemble the excited-surface
-Hamiltonian as a dense matrix over ground-mode number states, diagonalize
-it once, and propagate exactly in the eigenbasis. ``Propagator.of(c,
-basis)`` does both, and every reference is one of its methods. The
-closed forms in :mod:`indiboson.analytic` are validated against these
-routines, so nothing is imported from it: no formula and no container.
-Line lists come back in the same shape on both sides, a numpy record
-array with fields ``offset`` and ``weight``.
+Everything here is deliberately direct: assemble the vibrational Hamiltonian
+H_e - eps_e (eps_e, one phase on every evolution, is left out) as a dense
+matrix over ground-mode number states, diagonalize it once, and propagate
+exactly in the eigenbasis. ``Propagator.of(c, basis)`` does both, and every
+reference is one of its methods. The closed forms in :mod:`indiboson.analytic`
+are validated against these routines, so nothing is imported from it: no
+formula and no container. Line lists come back in the same shape on both
+sides, a numpy record array with fields ``offset`` and ``weight``.
 
 The Hamiltonian is real symmetric, so its eigenbasis is real. Propagation
 and the expectation values of real operators stay in real arithmetic: a
@@ -36,13 +36,13 @@ import numpy as np
 from .errors import OracleError, TruncationError
 from .model import Couplings, ThermalParams
 
-# OracleState, observable, excited_vacuum, evolve and the shims: perfbench and tests only
+# OracleState, observable, excited_vacuum, evolve, energy_offset, the shims: perfbench, tests
 __all__ = [
     "BUFFER_TOL",
     "TruncatedBasis",
     "Propagator",
     "destroy",
-    "build_excited_hamiltonian",
+    "vibrational_hamiltonian",
     "window_broadened",
 ]
 
@@ -73,17 +73,17 @@ def destroy(basis: TruncatedBasis) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, basis.dim)), 1)
 
 
-def build_excited_hamiltonian(c: Couplings, basis: TruncatedBasis) -> np.ndarray:
-    """Excited-surface Hamiltonian in the ground number basis:
-    eps_e' + omega_g*(n + 1/2) - omega_e*(lambda1*(b+b^dag)
-    + lambda2*(b+b^dag)**2). Refused when the rounding of its entries,
-    eps*max|H|, exceeds 1e-8 of the smaller frequency: couplings that
-    small next to the diagonal are lost to its rounding."""
+def vibrational_hamiltonian(c: Couplings, basis: TruncatedBasis) -> np.ndarray:
+    """The excited-surface Hamiltonian less its electronic energy, H_e - eps_e,
+    in the ground number basis: omega_e*lambda_e**2 + omega_g*(n + 1/2)
+    - omega_e*(lambda1*(b+b^dag) + lambda2*(b+b^dag)**2). Refused when the
+    rounding of its entries, eps*max|H|, exceeds 1e-8 of the smaller
+    frequency: couplings that small next to the diagonal are lost to it."""
     n = basis.dim
     b = destroy(basis)
     q = b + b.T
     h = (
-        (c.epsilon_e_prime + 0.5 * c.omega_g) * np.eye(n)
+        (c.omega_e * c.lambda_e**2 + 0.5 * c.omega_g) * np.eye(n)
         + c.omega_g * np.diag(np.arange(n, dtype=float))
         - c.omega_e * (c.lambda1 * q + c.lambda2 * (q @ q))
     )
@@ -172,8 +172,8 @@ class Propagator:
 
     @classmethod
     def of(cls, c: Couplings, basis: TruncatedBasis) -> "Propagator":
-        """The excited-surface Hamiltonian of ``c`` in ``basis``, diagonalised."""
-        return cls(build_excited_hamiltonian(c, basis), basis)
+        """The vibrational Hamiltonian H_e - eps_e of ``c`` in ``basis``, diagonalised."""
+        return cls(vibrational_hamiltonian(c, basis), basis)
 
     def evolve(self, state: OracleState, t: float) -> OracleState:
         last, coeffs = self._last
@@ -232,12 +232,12 @@ class Propagator:
     def thermal_correlation(self, th: ThermalParams, c: Couplings, ts) -> np.ndarray:
         """Thermal dipole correlation from the truncated basis:
         sum_p w_p e^{-i omega_eg t} e^{i omega_g t (p+1/2)}
-        <p| e^{-i (H_e - eps_e) t} |p>, for the Hamiltonian of ``c``;
+        <p| e^{-i H t} |p>, for H = H_e - eps_e of ``c`` (:meth:`of`);
         refused when the mixture sum_p w_p |p><p| puts more than
         BUFFER_TOL in the buffer at any of ts."""
         ts = np.asarray(ts, dtype=float)
         weights = _thermal_weights(th, c, self.basis)
-        e = np.exp(-1j * np.outer(self.energies - c.epsilon_e, ts))
+        e = np.exp(-1j * np.outer(self.energies, ts))
         leak = float(np.max(self._mixture_buffer(weights, e), initial=0.0))
         _refuse_leak(leak, "the thermal mixture", self.basis)
         ret = (self.modes[: weights.size] ** 2) @ e
@@ -271,13 +271,12 @@ class Propagator:
     def thermal_line_list(self, th: ThermalParams, c: Couplings) -> np.recarray:
         """Absorption lines from eigenbasis transition amplitudes, as a record
         array of offsets from the gap and weights, ground level by ground
-        level, pruned below 1e-12 in units of 2*pi."""
+        level, pruned below 1e-12 in units of 2*pi, for H = H_e - eps_e of ``c``."""
         weights = _thermal_weights(th, c, self.basis)
-        evib = self.energies - c.epsilon_e
         line_w = weights[:, None] * self.modes[: weights.size, :] ** 2
         p, n = np.nonzero(line_w >= _THERMAL_WEIGHT_FLOOR)  # row-major: p, then n
-        return np.rec.fromarrays([evib[n] - c.omega_g * (p + 0.5), 2.0 * np.pi * line_w[p, n]],
-                                 names="offset,weight")
+        return np.rec.fromarrays([self.energies[n] - c.omega_g * (p + 0.5),
+                                  2.0 * np.pi * line_w[p, n]], names="offset,weight")
 
 
 def _is_diagonal(op: np.ndarray) -> bool:
@@ -378,6 +377,12 @@ def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> 
 
 
 # perfbench imports these; removable with ROADMAP item 1
+def build_excited_hamiltonian(c, basis):
+    h = vibrational_hamiltonian(c, basis)
+    h.flat[:: basis.dim + 1] += c.epsilon_e  # H_e itself, for energy_offset
+    return h
+
+
 def thermal_correlation(th, c, basis, ts):
     return Propagator.of(c, basis).thermal_correlation(th, c, ts)
 

@@ -135,7 +135,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         if count < 2:
             raise TruncationError(f"{count} of the lowest {n_chk} eigenvectors stay off "
                                   f"the buffer (dim={dim}); increase the basis")
-        expected = c.epsilon_e + c.omega_e * (np.arange(count) + 0.5)
+        expected = c.omega_e * (np.arange(count) + 0.5)
         note = f"{count} levels" + ("" if count == n_chk else f" of {n_chk}")
         return expected, prop.energies[:count], note
 
@@ -146,8 +146,7 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         return vacuum_ground_phonon_number(c), number @ prop.modes[:, 0] ** 2, ""
 
     def return_amplitude():
-        ref = oracle().return_amplitude(p0, ts, energy_offset=c.epsilon_e)
-        return overlap(p0, c, ts), ref, f"p={p0}, {ts.size} times"
+        return overlap(p0, c, ts), oracle().return_amplitude(p0, ts), f"p={p0}, {ts.size} times"
 
     def thermal():
         ref = oracle().thermal_correlation(th, c, ts)
@@ -169,9 +168,9 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         ("return_amplitude", 1e-8 if c.equal_frequencies else 1e-6, return_amplitude),
         ("phonon_number", 1e-7, lambda: (phonon_number(p0, c, ts[::4]),
                                          oracle().expectation(p0, ts[::4], number), f"p={p0}")),
-        # an absolute energy: its rounding grows with its size
-        ("excited_energy", 1e-8 * max(1.0, abs(energy)),
-         lambda: (energy, oracle().expectation(p0, ts[::20], oracle().hamiltonian), "conserved")),
+        # an absolute energy, eps_e plus the oracle's: its rounding grows with its size
+        ("excited_energy", 1e-8 * max(1.0, abs(energy)), lambda: (energy, c.epsilon_e
+         + oracle().expectation(p0, ts[::20], oracle().hamiltonian), "conserved")),
         ("thermal_correlation", 1e-6, thermal),
         ("line_weights", 1e-8, line_weights),
         # sequential, not numpy's pairwise sum

@@ -521,7 +521,7 @@ def test_thermal_grid_past_the_cap_is_a_numerical_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, message", [
-    ("build_excited_hamiltonian", "assembled Hamiltonian is not Hermitian"),
+    ("vibrational_hamiltonian", "assembled Hamiltonian is not Hermitian"),
     ("expectation", "expectation value has imaginary residue 0.001"),
 ])
 def test_oracle_failure_is_a_numerical_error(monkeypatch, capsys, name, message):
@@ -570,7 +570,8 @@ def test_an_oracle_run_builds_one_propagator(capsys, built, args):
 ], ids=["window", "zero-T-lines"])
 def test_an_analytic_refusal_comes_before_the_oracle(tmp_path, capsys, built, setup, args,
                                                      code, message):
-    # both Hamiltonians are refused too; the analytic side speaks first
+    # the oracle refuses the lambda_g = 1e16 Hamiltonian and serves the
+    # epsilon_e = 1e8 one; either way the analytic side speaks first
     cfg = tmp_path / "run.cfg"
     cfg.write_text(setup)
     got, out, err = run(["spectrum", "--config", str(cfg), *args, "--oracle"], capsys)
@@ -597,8 +598,7 @@ def test_commands_reach_the_oracle_only_through_propagator(monkeypatch, capsys):
 
 @pytest.mark.parametrize("setup", [
     "omega_g = 1\nomega_e = 1\nlambda_g = 1e16\n",
-    "omega_g = 1\nomega_e = 1\nlambda_g = 1\nepsilon_e = 1e8\n",
-], ids=["lambda_g-1e16", "epsilon_e-1e8"])
+], ids=["lambda_g-1e16"])
 def test_evolve_oracle_refuses_an_unresolvable_hamiltonian(tmp_path, capsys, setup):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(setup)
@@ -609,6 +609,20 @@ def test_evolve_oracle_refuses_an_unresolvable_hamiltonian(tmp_path, capsys, set
     assert out == ""
     assert err.startswith("numerical error: Hamiltonian entries reach ")
     assert "cannot resolve the couplings" in err and err.count("\n") == 1
+
+
+def test_evolve_oracle_serves_a_large_electronic_energy(tmp_path, capsys):
+    # epsilon_e never enters the oracle's matrix, so no epsilon_e is too
+    # large for it: the oracle columns agree within validate's tolerances
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega_g = 1\nomega_e = 1\nlambda_g = 1\nepsilon_e = 1e8\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["evolve", "--config", str(cfg), "--oracle"], capsys)
+    assert (code, err) == (0, "")
+    col = {name: np.array(values, dtype=float) for name, values in parse_csv(out)[1].items()}
+    assert np.max(np.abs(col["oracle_overlap_sq"] - col["overlap_sq"])) <= 1e-8
+    assert np.max(np.abs(col["oracle_ground_phonons"] - col["ground_phonons"])) <= 1e-7
 
 
 @pytest.fixture
@@ -715,7 +729,7 @@ def test_validate_diagonalises_once_per_set(monkeypatch):
     def broken(c, basis):
         raise OracleError("assembled Hamiltonian is not Hermitian")
 
-    monkeypatch.setattr(oracle, "build_excited_hamiltonian", broken)
+    monkeypatch.setattr(oracle, "vibrational_hamiltonian", broken)
     rows = validation.run_validation(specs, oracle_dim=64).rows
     failed = {r.check for r in rows if not r.passed}
     assert failed == {"eigenvalue_ladder", "vacuum_phonons", "return_amplitude",
@@ -778,6 +792,30 @@ def test_validate_passes_a_large_electronic_energy(tmp_path, capsys, omega_e):
     row = next(line for line in out.splitlines()
                if line.startswith("excited_energy") and " config " in line)
     assert " pass " in row and " 1.00e-01 " in row
+
+
+@pytest.mark.parametrize("omega_e", ["1", "2"])
+def test_validate_passes_at_an_electronic_energy_of_3e7(tmp_path, capsys, omega_e):
+    # the oracle diagonalises H_e - epsilon_e: in the matrix, epsilon_e's
+    # rounding would push return_amplitude (omega_e 1), eigenvalue_ladder
+    # and line_weights (omega_e 2) past their 1e-8
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(f"omega_g = 1\nomega_e = {omega_e}\nlambda_g = 1\nepsilon_e = 3e7\n")
+    code, out, _ = run(["validate", "--config", str(cfg)], capsys)
+    assert code == 0, out
+    rows = [line for line in out.splitlines() if " config " in line]
+    assert len(rows) == 10 and all(" pass" in row for row in rows)
+
+
+def test_validate_runs_a_preset_at_another_temperature_as_config(capsys):
+    # --beta changes the set, so it is not the preset: the preset still runs
+    code, out, _ = run(["validate", "--preset", "fig2-both", "--beta", "0.1"], capsys)
+    rows = [line.split() for line in out.splitlines()[2:-1]]
+    assert list(dict.fromkeys(row[1] for row in rows)) == ["config", *preset_names()]
+    # the hot set leans on the buffer; the preset passes
+    assert code == 1
+    assert {row[1] for row in rows if "FAIL" in row} == {"config"}
+    assert all("pass" in row for row in rows if row[1] == "fig2-both")
 
 
 def test_validate_refuses_a_return_amplitude_that_leans_on_the_buffer(soft_config, capsys):

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from indiboson.analytic import excited_mean_energy, excited_phonon_number, spectrum_zero_T
+from indiboson.analytic import (excited_mean_energy, excited_phonon_number, overlap,
+                                spectrum_zero_T)
 from indiboson.cli import build_run_config, main, parse_config_text
 from indiboson.errors import OracleError, TruncationError
 from indiboson.model import ModelParams, ThermalParams, derive_couplings
@@ -32,6 +33,7 @@ from indiboson.oracle import (
     observable,
     thermal_correlation,
     thermal_line_list,
+    vibrational_hamiltonian,
     window_broadened,
     _real_matvec,
     _refuse_leak,
@@ -74,20 +76,40 @@ def test_uncoupled_hamiltonian_is_the_bare_ladder():
 
 @pytest.mark.parametrize("couplings", [
     dict(lam=1e16),  # the coupling vanishes below the rounding of the diagonal
-    dict(lam=1.0, eps_e=1e8),  # eps*max|H| is 2.2e-8, twice the limit
 ])
 def test_hamiltonian_beyond_float_resolution_is_refused(couplings):
     with pytest.raises(OracleError, match="cannot resolve the couplings"):
-        build_excited_hamiltonian(make(**couplings), TruncatedBasis(16))
+        Propagator.of(make(**couplings), TruncatedBasis(16))
+
+
+def test_the_oracle_energy_origin_is_the_electronic_energy():
+    # H_e - eps_e does not depend on eps_e, so neither does its eigenbasis
+    basis = TruncatedBasis(64)
+    near = Propagator.of(make(omega_e=1.5, lam=1.0), basis)
+    far = Propagator.of(make(omega_e=1.5, lam=1.0, eps_e=1e8), basis)
+    assert np.array_equal(far.energies, near.energies)
+    assert np.array_equal(far.modes, near.modes)
+
+
+def test_a_large_electronic_energy_is_served_within_validate_tolerances():
+    # in the matrix, eps_e = 1e8 would put eps*max|H| at 2.2e-8, twice the
+    # resolution limit
+    c = make(lam=1.0, eps_e=1e8)
+    prop = Propagator.of(c, TruncatedBasis(256))
+    assert np.max(np.abs(prop.energies[:64] - c.omega_e * (np.arange(64) + 0.5))) <= 1e-8
+    ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 160)
+    assert np.max(np.abs(prop.return_amplitude(0, ts) - overlap(0, c, ts))) <= 1e-8
+    energy = c.epsilon_e + prop.expectation(0, ts[::20], prop.hamiltonian)
+    assert np.max(np.abs(energy - excited_mean_energy(0, c))) <= 1e-8 * abs(c.epsilon_e)
 
 
 @pytest.mark.parametrize("couplings, dim", [
-    (dict(lam=1.0, eps_e=1e7), 256),  # a fifth of the limit
+    (dict(lam=1.0, eps_e=1e7), 256),  # eps_e stays out of the matrix
     (dict(lam=4.0), 256),
     (dict(omega_e=1e2, lam=40.0), 512),  # the worst corner of test_extremes' box
 ])
 def test_hamiltonian_within_float_resolution_is_built(couplings, dim):
-    h = build_excited_hamiltonian(make(**couplings), TruncatedBasis(dim))
+    h = vibrational_hamiltonian(make(**couplings), TruncatedBasis(dim))
     assert h.shape == (dim, dim)
 
 
@@ -666,12 +688,11 @@ def test_thermal_line_list_is_the_pruned_double_loop():
     # eigenstate) and their bits of one loop over every transition
     c = make(omega_e=2.0, lam=1.0)
     th, basis = ThermalParams(0.5), TruncatedBasis(64)
-    prop = Propagator(build_excited_hamiltonian(c, basis), basis)
-    evib = prop.energies - c.epsilon_e
+    prop = Propagator.of(c, basis)
     want = []
     for p, w_p in enumerate(_thermal_weights(th, c, basis)):
         amps = prop.modes[p, :] ** 2
-        want += [(evib[n] - c.omega_g * (p + 0.5), 2.0 * np.pi * (w_p * amps[n]))
+        want += [(prop.energies[n] - c.omega_g * (p + 0.5), 2.0 * np.pi * (w_p * amps[n]))
                  for n in range(basis.dim) if w_p * amps[n] >= 1e-12]
     got = thermal_line_list(th, c, basis)
     assert len(want) < 5000  # pruned: not every transition
