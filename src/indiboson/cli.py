@@ -282,8 +282,9 @@ def _load_config(args, required: bool = True) -> RunConfig:
         text = Path(args.config).read_text()
         raw.update(parse_config_text(text, origin=args.config))
     if not raw:
-        if required:
-            raise ConfigError("a --preset or --config is required")
+        if required or args.beta is not None:  # validate's --beta needs a set to change
+            raise ConfigError("a --preset or --config is required"
+                              + ("" if required else " for --beta"))
         raw = {"omega_g": 1.0, "omega_e": 1.0, "lambda_g": 0.0}
     raw.update({k: v for k, v in vars(args).items() if k in _ALL_KEYS and v is not None})
     return build_run_config(raw)

@@ -4,10 +4,12 @@ Everything here is deliberately direct: assemble the vibrational Hamiltonian
 H_e - eps_e (eps_e, one phase on every evolution, is left out) as a dense
 matrix over ground-mode number states, diagonalize it once, and propagate
 exactly in the eigenbasis. ``Propagator.of(c, basis)`` does both, and every
-reference is one of its methods. The closed forms in :mod:`indiboson.analytic`
-are validated against these routines, so nothing is imported from it: no
-formula and no container. Line lists come back in the same shape on both
-sides, a numpy record array with fields ``offset`` and ``weight``.
+reference is one of its methods or, for the excited vacuum, its lowest
+eigenvector ``modes[:, 0]``; nothing else factors a matrix. The closed
+forms in :mod:`indiboson.analytic` are validated against these routines, so
+nothing is imported from it: no formula and no container. Line lists come
+back in the same shape on both sides, a numpy record array with fields
+``offset`` and ``weight``.
 
 The Hamiltonian is real symmetric, so its eigenbasis is real. Propagation
 and the expectation values of real operators stay in real arithmetic: a
@@ -18,12 +20,13 @@ The top eighth of the basis is a buffer: weight there means the physics
 has hit the artificial wall, so a result that puts more than BUFFER_TOL
 there is refused with :class:`TruncationError`, through one refusal
 (``_refuse_leak``), instead of silently degraded. A stationary reference
-(the T = 0 line weights, a return amplitude) is refused on the weighted
-buffer weight of its eigenvectors, ``weights @ Propagator.edge``: the
-long-time average of the buffer population. A state (an evolved state at
-every requested time, the thermal mixture likewise, the excited vacuum) is
-refused on its own buffer population. The thermal line list is the one
-reference that is not checked (ROADMAP item 2).
+(the T = 0 line weights, a return amplitude, the excited vacuum) is refused
+on the weighted buffer weight of its eigenvectors, ``weights @
+Propagator.edge``: the long-time average of the buffer population; the
+vacuum, weight 1 on eigenvector 0, has its own. A state (an evolved state
+at every requested time, the thermal mixture likewise) is refused on its
+own buffer population. The thermal line list is the one reference that is
+not checked (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import OracleError, TruncationError
 from .model import Couplings, ThermalParams
 
-# OracleState, observable, excited_vacuum, evolve, energy_offset, the shims: perfbench, tests
+# OracleState, observable, evolve, energy_offset, the shims (excited_vacuum too): perfbench, tests
 __all__ = [
     "BUFFER_TOL",
     "TruncatedBasis",
@@ -322,40 +325,6 @@ def observable(state: OracleState, op: np.ndarray) -> float:
     return value.real
 
 
-def excited_vacuum(c: Couplings, basis: TruncatedBasis) -> OracleState:
-    """Vacuum of the excited-surface mode expanded over ground number states.
-
-    Found as the null vector of the excited annihilation operator
-    gamma_plus*b + gamma_minus*b^dag - lambda_e. The last matrix row
-    couples to the truncated level, so the null space is taken over the
-    top (dim-1) x dim block; contamination shows up as buffer weight.
-    """
-    n = basis.dim
-    b = destroy(basis)
-    mat = c.gamma_plus * b + c.gamma_minus * b.T - c.lambda_e * np.eye(n)
-    _, sing, vh = np.linalg.svd(mat[: n - 1, :])
-    # the block is (n-1) x n, so the null direction pairs with the implicit
-    # zero singular value; a tiny sing[-1] would mean a second near-null
-    # vector and an ambiguous extraction
-    if sing[-1] < 1e-10 * sing[0]:
-        raise TruncationError(
-            "null space of the annihilation operator is not unique "
-            f"(sigma gap {sing[-1] / sing[0]:.3e}); increase the basis"
-        )
-    vec = vh[-1]
-    residual = float(np.linalg.norm(mat[: n - 1, :] @ vec))
-    if residual > 1e-10:
-        raise TruncationError(
-            f"annihilation-operator null vector has residual {residual:.3e}; "
-            "increase the basis"
-        )
-    if vec[0] != 0.0:
-        vec = vec * np.sign(vec[0])  # ground-state coefficient is positive
-    state = OracleState(vec.astype(complex), basis)
-    _refuse_leak(state.buffer_population, "the excited vacuum", basis)
-    return state
-
-
 def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> np.ndarray:
     """Boltzmann weights (1-boltz)*boltz**p down to the 1e-12 floor; a
     ground level below the floor means no basis holds the occupation."""
@@ -377,6 +346,13 @@ def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> 
 
 
 # perfbench imports these; removable with ROADMAP item 1
+def excited_vacuum(c, basis):
+    prop = Propagator.of(c, basis)  # the vacuum is the lowest eigenvector
+    prop.check_leak(np.ones(1), "the excited vacuum")
+    vec = prop.modes[:, 0]
+    return OracleState(vec if vec[0] >= 0.0 else -vec, basis)
+
+
 def build_excited_hamiltonian(c, basis):
     h = vibrational_hamiltonian(c, basis)
     h.flat[:: basis.dim + 1] += c.epsilon_e  # H_e itself, for energy_offset

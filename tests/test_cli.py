@@ -596,6 +596,42 @@ def test_commands_reach_the_oracle_only_through_propagator(monkeypatch, capsys):
     assert out.splitlines()[-1] == "overall: PASS (oracle dim 256)"
 
 
+def test_no_command_factors_by_svd(monkeypatch, capsys):
+    # every oracle reference, the excited vacuum included, comes from the
+    # one eigendecomposition; the SVD null vector lives in the tests
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(oracle, "excited_vacuum", counting("excited_vacuum",
+                                                           oracle.excited_vacuum))
+    for name in preset_names():
+        for args in (["couplings"], ["evolve", "--oracle"], ["correlation", "--oracle"],
+                     ["spectrum", "--oracle"], ["spectrum", "--beta", "inf", "--oracle"]):
+            code, _, err = run([*args, "--preset", name], capsys)
+            assert code == 0, (name, args, err)
+    for args in (["validate"], ["validate", "--preset", "fig2-both"]):
+        code, _, err = run(args, capsys)
+        assert code == 0, (args, err)
+    assert calls == Counter()
+
+
+def test_validate_refuses_a_temperature_without_a_set(capsys):
+    # --beta changes a parameter set; without --preset or --config there is
+    # none to change, and the presets would run at their own temperatures
+    for beta in ("0.1", "inf"):
+        code, out, err = run(["validate", "--beta", beta], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: a --preset or --config is required for --beta\n"
+    code, out, _ = run(["validate", "--preset", "fig2-both", "--beta", "inf"], capsys)
+    assert code == 0 and "fig2-both" in out
+
+
 @pytest.mark.parametrize("setup", [
     "omega_g = 1\nomega_e = 1\nlambda_g = 1e16\n",
 ], ids=["lambda_g-1e16"])

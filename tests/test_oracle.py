@@ -40,6 +40,7 @@ from indiboson.oracle import (
     _thermal_weights,
 )
 from displaced import vacuum_expansion_linear  # the tests' displaced-vacuum reference
+from nullvector import annihilator, null_vector  # the tests' excited-vacuum reference
 
 
 def make(omega_g=1.0, omega_e=1.0, lam=0.0, eps_e=0.0):
@@ -524,6 +525,27 @@ def test_excited_vacuum_of_squeeze_has_even_parity():
 def test_excited_vacuum_rejects_undersized_basis():
     with pytest.raises(TruncationError):
         excited_vacuum(make(lam=3.0), TruncatedBasis(12))
+
+
+# the presets at 128 levels, and a soft, strongly displaced set at 256
+VACUUM_SETS = [pytest.param(derive_couplings(build_run_config(preset_config(name)).params),
+                            128, id=name) for name in preset_names()]
+VACUUM_SETS.append(pytest.param(make(omega_e=0.5, lam=3.0), 256, id="soft-displaced"))
+
+
+@pytest.mark.parametrize("c, dim", VACUUM_SETS)
+def test_excited_vacuum_is_the_null_vector_of_the_annihilator(c, dim):
+    # the eigenbasis route against the SVD route, which never calls eigh
+    amps = excited_vacuum(c, TruncatedBasis(dim)).amplitudes
+    assert np.max(np.abs(amps - null_vector(c, dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("c, dim", VACUUM_SETS)
+def test_the_annihilator_leaves_the_excited_vacuum_off_the_buffer(c, dim):
+    # B v vanishes wherever B's rows do not reach the truncated level
+    basis = TruncatedBasis(dim)
+    amps = excited_vacuum(c, basis).amplitudes
+    assert np.max(np.abs(annihilator(c, dim) @ amps)[: basis.buffer_start]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
