@@ -326,9 +326,7 @@ def cmd_evolve(cfg: RunConfig, c: Couplings, oracle) -> tuple[dict, dict]:
     if oracle:
         prop = oracle()
         columns["oracle_overlap_sq"] = list(np.abs(prop.return_amplitude(p0, ts)) ** 2)
-        columns["oracle_ground_phonons"] = list(
-            prop.expectation(p0, ts, np.arange(prop.basis.dim, dtype=float))
-        )
+        columns["oracle_ground_phonons"] = list(prop.phonon_number(p0, ts))
     return {}, columns
 
 
@@ -463,6 +461,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -11,22 +11,20 @@ nothing is imported from it: no formula and no container. Line lists come
 back in the same shape on both sides, a numpy record array with fields
 ``offset`` and ``weight``.
 
-The Hamiltonian is real symmetric, so its eigenbasis is real. Propagation
-and the expectation values of real operators stay in real arithmetic: a
-real matrix acts on a complex state through the state's (n, 2) float
-view, never through a complex copy of the matrix.
+The Hamiltonian is real symmetric, so its eigenbasis is real; a real matrix
+acts on a complex state through its (n, 2) float view, never a complex copy.
 
 The top eighth of the basis is a buffer: weight there means the physics
 has hit the artificial wall, so a result that puts more than BUFFER_TOL
 there is refused with :class:`TruncationError`, through one refusal
 (``_refuse_leak``), instead of silently degraded. A stationary reference
-(the T = 0 line weights, a return amplitude, the excited vacuum) is refused
-on the weighted buffer weight of its eigenvectors, ``weights @
-Propagator.edge``: the long-time average of the buffer population; the
-vacuum, weight 1 on eigenvector 0, has its own. A state (an evolved state
-at every requested time, the thermal mixture likewise) is refused on its
-own buffer population. The thermal line list is the one reference that is
-not checked (ROADMAP item 2).
+(the T = 0 line weights, a return amplitude, the mean energy, the excited
+vacuum) is refused on the weighted buffer weight of its eigenvectors,
+``weights @ Propagator.edge``: the long-time average of the buffer
+population; the vacuum, weight 1 on eigenvector 0, has its own. The two
+evolved references, the phonon number and the thermal mixture, are refused
+on their own buffer population at every requested time. The thermal line
+list is the one reference that is not checked (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 from .errors import OracleError, TruncationError
 from .model import Couplings, ThermalParams
 
-# OracleState, observable, evolve, energy_offset, the shims (excited_vacuum too): perfbench, tests
+# perfbench, tests: OracleState, evolve, energy_offset, the block at the foot (observable too)
 __all__ = [
     "BUFFER_TOL",
     "TruncatedBasis",
@@ -157,18 +155,15 @@ def _refuse_leak(leak: float, what: str, basis: TruncatedBasis):
 
 
 class Propagator:
-    """Eigendecomposition-backed propagator for a fixed Hamiltonian, which
-    it keeps as ``hamiltonian``; ``edge[n]`` is the buffer population of
-    eigenvector n.
-
-    It remembers the last state it evolved with that state's eigenbasis
-    coefficients, as one (state, coefficients) tuple so that a concurrent
-    call reads a matching pair; a state is immutable, so evolving the same
-    state to many times projects it onto the eigenbasis once."""
+    """Eigendecomposition-backed propagator for a fixed Hamiltonian;
+    ``edge[n]`` is the buffer population of eigenvector n. ``_last``, for
+    the harness's :meth:`evolve` only, pairs the last state it evolved with
+    its eigenbasis coefficients in one tuple, so that a concurrent call reads
+    a matching pair; a state is immutable, so evolving one state to many
+    times projects it onto the eigenbasis once."""
 
     def __init__(self, hamiltonian: np.ndarray, basis: TruncatedBasis):
         self.basis = basis
-        self.hamiltonian = hamiltonian
         self.energies, self.modes = np.linalg.eigh(hamiltonian)
         self.edge = np.sum(self.modes[basis.buffer_start :] ** 2, axis=0)
         self._last = (None, None)
@@ -202,25 +197,31 @@ class Propagator:
             raise TruncationError(f"level p={p} lies in the truncation buffer "
                                   f"(dim={self.basis.dim}); increase the basis")
 
-    def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
-        """<p| e^{-i (H - energy_offset) t} |p> sampled on ts; a level in
-        the truncation buffer, or one that leans on eigenstates living
-        there, has no trustworthy amplitude."""
+    def _level_weights(self, p: int) -> np.ndarray:
+        """|<n|p>|**2 over the eigenstates n, refused for a level in the
+        buffer or one that leans on eigenstates living there."""
         self._check_level(p)
-        ts = np.asarray(ts, dtype=float)
         weights = self.modes[p, :] ** 2
         self.check_leak(weights, f"the eigenstates of level p={p}")
+        return weights
+
+    def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
+        """<p| e^{-i (H - energy_offset) t} |p> on ts; :meth:`_level_weights` refuses p."""
+        weights = self._level_weights(p)
+        ts = np.asarray(ts, dtype=float)
         return weights @ np.exp(-1j * np.outer(self.energies - energy_offset, ts))
 
-    def expectation(self, p: int, ts, op: np.ndarray) -> np.ndarray:
-        """<p(t)|op|p(t)> on ts for number state p and a real symmetric op
-        (:func:`_check_operator`), given as a matrix or as its diagonal. The
-        amplitudes modes @ (e^{-i E t} modes[p]) are two real (dim, len(ts))
-        products, cos and sin; refused for a level in the buffer, or when any
-        time puts more than BUFFER_TOL there."""
+    def mean_energy(self, p: int) -> float:
+        """The conserved <p|H|p> = sum_n |<n|p>|**2 E_n, without eps_e for
+        :meth:`of`; :meth:`_level_weights` refuses p."""
+        return float(self._level_weights(p) @ self.energies)
+
+    def phonon_number(self, p: int, ts) -> np.ndarray:
+        """<p(t)|b^dag b|p(t)> on ts for number state p. The amplitudes
+        modes @ (e^{-i E t} modes[p]) are two real (dim, len(ts)) products,
+        cos and sin; refused for a level in the buffer, or when any time puts
+        more than BUFFER_TOL there."""
         self._check_level(p)
-        op = np.asarray(op)
-        _check_operator(op, "expectation")
         phase = np.outer(self.energies, np.asarray(ts, dtype=float))
         col = self.modes[p][:, None]
         re = self.modes @ (np.cos(phase) * col)
@@ -228,9 +229,7 @@ class Propagator:
         pops = re**2 + im**2
         leak = float(np.max(np.sum(pops[self.basis.buffer_start :], axis=0), initial=0.0))
         _refuse_leak(leak, "the evolved state", self.basis)
-        if op.ndim == 1:
-            return op @ pops
-        return np.sum(re * (op @ re), axis=0) + np.sum(im * (op @ im), axis=0)
+        return np.arange(self.basis.dim, dtype=float) @ pops
 
     def thermal_correlation(self, th: ThermalParams, c: Couplings, ts) -> np.ndarray:
         """Thermal dipole correlation from the truncated basis:
@@ -282,6 +281,27 @@ class Propagator:
                                   2.0 * np.pi * line_w[p, n]], names="offset,weight")
 
 
+def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> np.ndarray:
+    """Boltzmann weights (1-boltz)*boltz**p down to the 1e-12 floor; a
+    ground level below the floor means no basis holds the occupation."""
+    boltz = th.boltzmann(c.omega_g)
+    weights = []
+    w = 1.0 - boltz
+    if w < _THERMAL_WEIGHT_FLOOR:
+        raise TruncationError(f"thermal occupation at beta={th.beta!r} puts even the "
+                              "ground level below the weight floor")
+    while w >= _THERMAL_WEIGHT_FLOOR:
+        weights.append(w)
+        if len(weights) > basis.dim:
+            raise TruncationError(
+                f"thermal occupation at beta={th.beta!r} needs more than "
+                f"dim={basis.dim} levels above the weight floor"
+            )
+        w *= boltz
+    return np.array(weights)
+
+
+# perfbench imports these; removable with ROADMAP item 1
 def _is_diagonal(op: np.ndarray) -> bool:
     """True for a real floating square op with no nonzero entry off the
     diagonal (a NaN counts as nonzero), so that op - op.T is exactly zero.
@@ -325,27 +345,6 @@ def observable(state: OracleState, op: np.ndarray) -> float:
     return value.real
 
 
-def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> np.ndarray:
-    """Boltzmann weights (1-boltz)*boltz**p down to the 1e-12 floor; a
-    ground level below the floor means no basis holds the occupation."""
-    boltz = th.boltzmann(c.omega_g)
-    weights = []
-    w = 1.0 - boltz
-    if w < _THERMAL_WEIGHT_FLOOR:
-        raise TruncationError(f"thermal occupation at beta={th.beta!r} puts even the "
-                              "ground level below the weight floor")
-    while w >= _THERMAL_WEIGHT_FLOOR:
-        weights.append(w)
-        if len(weights) > basis.dim:
-            raise TruncationError(
-                f"thermal occupation at beta={th.beta!r} needs more than "
-                f"dim={basis.dim} levels above the weight floor"
-            )
-        w *= boltz
-    return np.array(weights)
-
-
-# perfbench imports these; removable with ROADMAP item 1
 def excited_vacuum(c, basis):
     prop = Propagator.of(c, basis)  # the vacuum is the lowest eigenvector
     prop.check_leak(np.ones(1), "the excited vacuum")

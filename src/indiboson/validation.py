@@ -167,10 +167,10 @@ def _rows_for(label: str, params: ModelParams, beta: float, p0: int,
         ("vacuum_phonons", 1e-8, vacuum),
         ("return_amplitude", 1e-8 if c.equal_frequencies else 1e-6, return_amplitude),
         ("phonon_number", 1e-7, lambda: (phonon_number(p0, c, ts[::4]),
-                                         oracle().expectation(p0, ts[::4], number), f"p={p0}")),
+                                         oracle().phonon_number(p0, ts[::4]), f"p={p0}")),
         # an absolute energy, eps_e plus the oracle's: its rounding grows with its size
-        ("excited_energy", 1e-8 * max(1.0, abs(energy)), lambda: (energy, c.epsilon_e
-         + oracle().expectation(p0, ts[::20], oracle().hamiltonian), "conserved")),
+        ("excited_energy", 1e-8 * max(1.0, abs(energy)),
+         lambda: (energy, c.epsilon_e + oracle().mean_energy(p0), "conserved")),
         ("thermal_correlation", 1e-6, thermal),
         ("line_weights", 1e-8, line_weights),
         # sequential, not numpy's pairwise sum

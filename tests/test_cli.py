@@ -420,6 +420,22 @@ def test_non_finite_eta_flag_is_a_config_error(tmp_path, capsys, flag, value, me
         assert code == 0 and parse_csv(out)[0]["oracle_dim"] == "1000"
 
 
+@pytest.mark.parametrize("setting, args", [
+    ("t_points = 1e14\n", ["evolve"]),
+    ("", ["evolve", "--oracle", "--oracle-dim", "1e14"]),
+    ("", ["validate", "--oracle-dim", "1e14"]),
+], ids=["t-points", "evolve-oracle-dim", "validate-oracle-dim"])
+def test_an_unallocatable_size_is_a_config_error(tmp_path, capsys, setting, args):
+    # 1e14 float64 elements (728 TiB) fail at allocation, before any memory
+    # is touched; a size a machine could allocate is never tried here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting)
+    code, out, err = run([*args, "--preset", "fig2-both", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("setup, field", [
     ("omega_g = 1\nomega_e = 1\nlambda_g = 1e160\n", None),  # lambda_e**2 overflows
     ("omega_g = 1\nomega_e = 1e300\nlambda_g = 1\n", None),  # omega_e**2 overflows
@@ -522,7 +538,7 @@ def test_thermal_grid_past_the_cap_is_a_numerical_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, message", [
     ("vibrational_hamiltonian", "assembled Hamiltonian is not Hermitian"),
-    ("expectation", "expectation value has imaginary residue 0.001"),
+    ("phonon_number", "expectation value has imaginary residue 0.001"),
 ])
 def test_oracle_failure_is_a_numerical_error(monkeypatch, capsys, name, message):
     def failing(*args, **kwargs):
@@ -856,13 +872,17 @@ def test_validate_runs_a_preset_at_another_temperature_as_config(capsys):
 
 def test_validate_refuses_a_return_amplitude_that_leans_on_the_buffer(soft_config, capsys):
     # omega_e/omega_g = 0.3, lambda_g = 1.5, p = 1: at 128 levels the row
-    # used to fail by 1.4e-6 as if the closed form were wrong
-    def row(dim):
+    # used to fail by 1.4e-6 as if the closed form were wrong; the conserved
+    # energy is refused by the same eigenvector rule, in the same words
+    def row(dim, check="return_amplitude"):
         _, out, _ = run(["validate", "--config", soft_config, "--oracle-dim", dim], capsys)
         return next(line for line in out.splitlines()
-                    if line.startswith("return_amplitude") and " config " in line)
+                    if line.startswith(check) and " config " in line)
 
     assert "FAIL  [TruncationError: the eigenstates of level p=1 put weighted" in row("128")
+    assert row("128", "excited_energy").endswith(
+        " FAIL  [TruncationError: the eigenstates of level p=1 put weighted buffer population "
+        "1.226e-07 past the basis edge (dim=128); increase the basis]")
     assert " pass " in row("256")
     code, _, err = run(["evolve", "--config", soft_config, "--oracle", "--oracle-dim", "128"],
                        capsys)

@@ -100,8 +100,8 @@ def test_a_large_electronic_energy_is_served_within_validate_tolerances():
     assert np.max(np.abs(prop.energies[:64] - c.omega_e * (np.arange(64) + 0.5))) <= 1e-8
     ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 160)
     assert np.max(np.abs(prop.return_amplitude(0, ts) - overlap(0, c, ts))) <= 1e-8
-    energy = c.epsilon_e + prop.expectation(0, ts[::20], prop.hamiltonian)
-    assert np.max(np.abs(energy - excited_mean_energy(0, c))) <= 1e-8 * abs(c.epsilon_e)
+    energy = c.epsilon_e + prop.mean_energy(0)
+    assert abs(energy - excited_mean_energy(0, c)) <= 1e-8 * abs(c.epsilon_e)
 
 
 @pytest.mark.parametrize("couplings, dim", [
@@ -248,29 +248,37 @@ def test_buffer_contamination_raises():
 @pytest.mark.parametrize("p", [0, 5])
 @pytest.mark.parametrize("setup", ["displaced", "squeezed", "mixed"])
 def test_expectation_equals_per_time_observables(setup, p, request):
+    # phonon_number against the number operator's expectation at each time
     c = request.getfixturevalue(setup)
     basis = TruncatedBasis(128)
-    h = build_excited_hamiltonian(c, basis)
-    prop = Propagator(h, basis)
+    prop = Propagator.of(c, basis)
     ts = np.linspace(0.0, 4.0 * math.pi / c.omega_e, 41)
-    number = np.arange(basis.dim, dtype=float)
-    b = destroy(basis)
+    number = np.diag(np.arange(basis.dim, dtype=float))
     state = OracleState.number_state(basis, p)
-    # a diagonal given as a vector, and two dense ops
-    for op, dense in ((number, np.diag(number)), (h, h), (b + b.T, b + b.T)):
-        got = prop.expectation(p, ts, op)
-        ref = np.array([observable(prop.evolve(state, t), dense) for t in ts])
-        assert got.shape == ts.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13
+    got = prop.phonon_number(p, ts)
+    ref = np.array([observable(prop.evolve(state, t), number) for t in ts])
+    assert got.shape == ts.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("setup", ["displaced", "squeezed", "mixed"])
+def test_mean_energy_is_the_hamiltonian_diagonal(setup, p, request):
+    # <p|H_e - eps_e|p> read from the matrix, with no eigendecomposition
+    c = request.getfixturevalue(setup)
+    basis = TruncatedBasis(128)
+    energy = Propagator.of(c, basis).mean_energy(p)
+    assert abs(energy - vibrational_hamiltonian(c, basis)[p, p]) <= 1e-13
 
 
 def test_expectation_refuses_a_buffer_crossing_at_any_time():
-    # lambda = 2 pushes ~16 quanta of excursion into a 12-level box
+    # phonon_number, against Propagator.evolve; lambda = 2 pushes ~16
+    # quanta of excursion into a 12-level box
     c = make(lam=2.0)
     basis = TruncatedBasis(12)
     prop = Propagator(build_excited_hamiltonian(c, basis), basis)
     state = OracleState.number_state(basis, 0)
-    number = np.arange(12.0)
+    number = np.diag(np.arange(12.0))
     ts = np.linspace(0.0, math.pi, 25)
     crossed = []
     for t in ts:  # Propagator.evolve is the per-time reference
@@ -285,27 +293,15 @@ def test_expectation_refuses_a_buffer_crossing_at_any_time():
             with pytest.raises(TruncationError, match=r"evolved state put weighted buffer "
                                                       r"population .* \(dim=12\); "
                                                       r"increase the basis"):
-                prop.expectation(0, [0.0, t, 0.0], number)
+                prop.phonon_number(0, [0.0, t, 0.0])
         else:
-            assert prop.expectation(0, [t], number)[0] == pytest.approx(
-                observable(prop.evolve(state, t), np.diag(number)), abs=1e-13)
+            assert prop.phonon_number(0, [t])[0] == pytest.approx(
+                observable(prop.evolve(state, t), number), abs=1e-13)
     for p in (11, 12, 40):  # in the buffer (from 11), or past the basis
         with pytest.raises(TruncationError, match=f"level p={p} lies in the truncation buffer"):
-            prop.expectation(p, [0.0], number)
+            prop.phonon_number(p, [0.0])
     with pytest.raises(ValueError, match="p must be >= 0"):
-        prop.expectation(-1, [0.0], number)
-    with pytest.raises(ValueError, match="operator is complex"):
-        prop.expectation(0, [0.0], number.astype(complex))
-    # the operators observable refuses: a NaN on a diagonal given as a vector,
-    # and an asymmetric matrix
-    nan_diagonal = number.copy()
-    nan_diagonal[5] = math.nan
-    with pytest.raises(ValueError, match="operator is not finite"):
-        prop.expectation(0, [0.0], nan_diagonal)
-    asym = np.diag(number)
-    asym[0, 1] = 5.0
-    with pytest.raises(ValueError, match="operator is not Hermitian"):
-        prop.expectation(0, [0.0], asym)
+        prop.phonon_number(-1, [0.0])
 
 
 def test_observable_guards():
@@ -617,11 +613,12 @@ def test_thermal_correlation_refuses_a_crossing_between_samples(tmp_path, capsys
 @pytest.mark.parametrize("path, coupling, dim, what", [
     # lambda = 2 pushes ~16 quanta of excursion into a 12-level box
     ("evolve", dict(lam=2.0), 12, "the evolved state"),
-    ("expectation", dict(lam=2.0), 12, "the evolved state"),
+    ("phonon_number", dict(lam=2.0), 12, "the evolved state"),
     ("thermal_correlation", dict(lam=2.0), 12, "the thermal mixture"),
     ("excited_vacuum", dict(lam=2.0), 12, "the excited vacuum"),
     ("return_amplitude", dict(omega_e=1.7, lam=0.5), 16, "the eigenstates of level p=13"),
     ("franck_condon_weights", dict(omega_e=1.5, lam=6.0), 128, "line weights"),
+    ("mean_energy", dict(omega_e=1.7, lam=0.5), 16, "the eigenstates of level p=13"),
 ])
 def test_every_buffer_refusal_shares_one_wording(path, coupling, dim, what):
     c = make(**coupling)
@@ -629,12 +626,13 @@ def test_every_buffer_refusal_shares_one_wording(path, coupling, dim, what):
     prop = Propagator.of(c, basis)
     calls = {
         "evolve": lambda: prop.evolve(OracleState.number_state(basis, 0), math.pi),
-        "expectation": lambda: prop.expectation(0, [0.0, math.pi], np.arange(dim, dtype=float)),
+        "phonon_number": lambda: prop.phonon_number(0, [0.0, math.pi]),
         "thermal_correlation": lambda: prop.thermal_correlation(ThermalParams(5.0), c,
                                                                 [0.0, math.pi]),
         "excited_vacuum": lambda: excited_vacuum(c, basis),
         "return_amplitude": lambda: prop.return_amplitude(13, [0.0]),
         "franck_condon_weights": lambda: prop.franck_condon_weights(60),
+        "mean_energy": lambda: prop.mean_energy(13),
     }
     wording = (rf"^{re.escape(what)} put weighted buffer population \d\.\d{{3}}e[-+]\d\d "
                rf"past the basis edge \(dim={dim}\); increase the basis$")
