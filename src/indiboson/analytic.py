@@ -23,7 +23,8 @@ import numpy as np
 from .errors import LineListError, PoleError
 from .model import Couplings, ThermalParams, time_coeffs
 from .specfun import laguerre_half_at_zero, laguerre_half_seq
-from .specfun import laguerre_seq  # noqa: F401  perfbench's tracer patches it; ROADMAP item 1
+# perfbench's tracer patches laguerre_seq; removable once perfbench drives only the CLI
+from .specfun import laguerre_seq  # noqa: F401
 
 __all__ = [
     "WINDOW_DECAY",
@@ -82,10 +83,17 @@ class OverlapValue:
 
 
 def _require_order(p: int) -> int:
-    p = int(p)
-    if p < 0:
-        raise ValueError(f"phonon index must be >= 0, got {p}")
-    return p
+    """p as an int; a non-integral, NaN, infinite or negative p is refused.
+    Integral floats and numpy integers pass."""
+    try:
+        order = int(p)
+    except (OverflowError, ValueError):  # inf, NaN
+        order = None
+    if order != p:
+        raise ValueError(f"phonon index must be an integer, got {p!r}")
+    if order < 0:
+        raise ValueError(f"phonon index must be >= 0, got {order}")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +119,7 @@ def phonon_number_quadratic(p: int, c: Couplings, t):
     )
 
 
-# perfbench imports this name; removable with ROADMAP item 1
+# perfbench imports this name; removable once perfbench drives only the CLI
 phonon_number_linear = phonon_number_quadratic
 
 
@@ -204,7 +212,7 @@ def overlap_quadratic(p: int, c: Couplings, t) -> OverlapValue:
     return OverlapValue(value)
 
 
-# perfbench imports this name; removable with ROADMAP item 1
+# perfbench imports this name; removable once perfbench drives only the CLI
 overlap_linear = overlap_quadratic
 
 
@@ -253,7 +261,7 @@ def _correlation_quadratic_values(th: ThermalParams, c: Couplings, ts) -> np.nda
     )
 
 
-# perfbench's tracer patches this name; removable with ROADMAP item 1
+# perfbench's tracer patches this name; removable once perfbench drives only the CLI
 _correlation_linear_values = _correlation_quadratic_values
 
 

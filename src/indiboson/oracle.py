@@ -4,8 +4,7 @@ Everything here is deliberately direct: assemble the vibrational Hamiltonian
 H_e - eps_e (eps_e, one phase on every evolution, is left out) as a dense
 matrix over ground-mode number states, diagonalize it once, and propagate
 exactly in the eigenbasis. ``Propagator.of(c, basis)`` does both, and every
-reference is one of its methods or, for the excited vacuum, its lowest
-eigenvector ``modes[:, 0]``; nothing else factors a matrix. The closed
+reference is one of its methods; nothing else factors a matrix. The closed
 forms in :mod:`indiboson.analytic` are validated against these routines, so
 nothing is imported from it: no formula and no container. Line lists come
 back in the same shape on both sides, a numpy record array with fields
@@ -19,12 +18,13 @@ has hit the artificial wall, so a result that puts more than BUFFER_TOL
 there is refused with :class:`TruncationError`, through one refusal
 (``_refuse_leak``), instead of silently degraded. A stationary reference
 (the T = 0 line weights, a return amplitude, the mean energy, the excited
-vacuum) is refused on the weighted buffer weight of its eigenvectors,
-``weights @ Propagator.edge``: the long-time average of the buffer
-population; the vacuum, weight 1 on eigenvector 0, has its own. The two
+vacuum of :meth:`Propagator.vacuum`, the eigenvalue ladder of
+:meth:`Propagator.ladder`) is refused on the weighted buffer weight of its
+eigenvectors: the long-time average of the buffer population. The two
 evolved references, the phonon number and the thermal mixture, are refused
 on their own buffer population at every requested time. The thermal line
-list is the one reference that is not checked (ROADMAP item 2).
+list is the one reference that is not checked, until a line-list check
+exists.
 """
 
 from __future__ import annotations
@@ -146,6 +146,20 @@ def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ pairs).view(complex).reshape(vec.shape)
 
 
+def _require_index(value, name: str) -> int:
+    """``value`` as an int; a non-integral, NaN, infinite or negative value
+    is refused. Integral floats and numpy integers pass."""
+    try:
+        index = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        index = None
+    if index != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if index < 0:
+        raise ValueError(f"{name} must be >= 0, got {index}")
+    return index
+
+
 def _refuse_leak(leak: float, what: str, basis: TruncatedBasis):
     """The one buffer refusal: ``what`` may put at most BUFFER_TOL of
     weighted population in the buffer (a NaN fails too)."""
@@ -156,7 +170,7 @@ def _refuse_leak(leak: float, what: str, basis: TruncatedBasis):
 
 class Propagator:
     """Eigendecomposition-backed propagator for a fixed Hamiltonian;
-    ``edge[n]`` is the buffer population of eigenvector n. ``_last``, for
+    ``_edge[n]`` is the buffer population of eigenvector n. ``_last``, for
     the harness's :meth:`evolve` only, pairs the last state it evolved with
     its eigenbasis coefficients in one tuple, so that a concurrent call reads
     a matching pair; a state is immutable, so evolving one state to many
@@ -165,7 +179,7 @@ class Propagator:
     def __init__(self, hamiltonian: np.ndarray, basis: TruncatedBasis):
         self.basis = basis
         self.energies, self.modes = np.linalg.eigh(hamiltonian)
-        self.edge = np.sum(self.modes[basis.buffer_start :] ** 2, axis=0)
+        self._edge = np.sum(self.modes[basis.buffer_start :] ** 2, axis=0)
         self._last = (None, None)
 
     @classmethod
@@ -184,25 +198,43 @@ class Propagator:
         _refuse_leak(out.buffer_population, "the evolved state", self.basis)
         return out
 
-    def check_leak(self, weights: np.ndarray, what: str):
+    def _check_leak(self, weights: np.ndarray, what: str):
         """Refuse eigenstate weights w_n, n = 0..len-1, whose weighted
-        buffer population sum_n w_n * edge[n] exceeds BUFFER_TOL."""
-        _refuse_leak(float(weights @ self.edge[: weights.size]), what, self.basis)
+        buffer population sum_n w_n * _edge[n] exceeds BUFFER_TOL."""
+        _refuse_leak(float(weights @ self._edge[: weights.size]), what, self.basis)
 
-    def _check_level(self, p: int):
-        """Refuse a negative level and a level in the truncation buffer."""
-        if p < 0:
-            raise ValueError(f"p must be >= 0, got {p}")
+    def vacuum(self) -> np.ndarray:
+        """The excited vacuum: eigenvector 0, with the sign that makes its
+        ground coefficient >= 0; refused when it leans on the buffer."""
+        self._check_leak(np.ones(1), "the excited vacuum")
+        vec = self.modes[:, 0]
+        return vec if vec[0] >= 0.0 else -vec
+
+    def ladder(self, count: int) -> np.ndarray:
+        """The lowest ``count`` energies, up to the first eigenvector that
+        leans on the buffer; refused when that eigenvector is 0 or 1, which
+        leaves no spacing to compare."""
+        leaning = np.flatnonzero(~(self._edge[:count] <= BUFFER_TOL))  # a NaN leans
+        kept = int(leaning[0]) if leaning.size else count
+        if leaning.size and kept < 2:
+            _refuse_leak(float(self._edge[kept]), f"eigenvector {kept}", self.basis)
+        return self.energies[:kept]
+
+    def _check_level(self, p: int) -> int:
+        """p as an int; refuses a level that is not an integer >= 0
+        (:func:`_require_index`), and a level in the truncation buffer."""
+        p = _require_index(p, "p")
         if p >= self.basis.buffer_start:
             raise TruncationError(f"level p={p} lies in the truncation buffer "
                                   f"(dim={self.basis.dim}); increase the basis")
+        return p
 
     def _level_weights(self, p: int) -> np.ndarray:
         """|<n|p>|**2 over the eigenstates n, refused for a level in the
         buffer or one that leans on eigenstates living there."""
-        self._check_level(p)
+        p = self._check_level(p)
         weights = self.modes[p, :] ** 2
-        self.check_leak(weights, f"the eigenstates of level p={p}")
+        self._check_leak(weights, f"the eigenstates of level p={p}")
         return weights
 
     def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
@@ -221,7 +253,7 @@ class Propagator:
         modes @ (e^{-i E t} modes[p]) are two real (dim, len(ts)) products,
         cos and sin; refused for a level in the buffer, or when any time puts
         more than BUFFER_TOL there."""
-        self._check_level(p)
+        p = self._check_level(p)
         phase = np.outer(self.energies, np.asarray(ts, dtype=float))
         col = self.modes[p][:, None]
         re = self.modes @ (np.cos(phase) * col)
@@ -260,14 +292,15 @@ class Propagator:
 
     def franck_condon_weights(self, count: int) -> np.ndarray:
         """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
-        a count reaching into the buffer, and weights that lean on it
-        (:meth:`check_leak`)."""
+        a count that is not an integer >= 0, a count reaching into the
+        buffer, and weights that lean on it (:meth:`_check_leak`)."""
         basis = self.basis
+        count = _require_index(count, "count")
         if count > basis.buffer_start:
             raise TruncationError(f"count={count} lines reach past the buffer start "
                                   f"{basis.buffer_start} (dim={basis.dim}); increase the basis")
         weights = 2.0 * np.pi * self.modes[0, :count] ** 2
-        self.check_leak(weights, "line weights")
+        self._check_leak(weights, "line weights")
         return weights
 
     def thermal_line_list(self, th: ThermalParams, c: Couplings) -> np.recarray:
@@ -301,7 +334,7 @@ def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> 
     return np.array(weights)
 
 
-# perfbench imports these; removable with ROADMAP item 1
+# perfbench imports these; removable once perfbench drives only the CLI
 def _is_diagonal(op: np.ndarray) -> bool:
     """True for a real floating square op with no nonzero entry off the
     diagonal (a NaN counts as nonzero), so that op - op.T is exactly zero.
@@ -346,10 +379,7 @@ def observable(state: OracleState, op: np.ndarray) -> float:
 
 
 def excited_vacuum(c, basis):
-    prop = Propagator.of(c, basis)  # the vacuum is the lowest eigenvector
-    prop.check_leak(np.ones(1), "the excited vacuum")
-    vec = prop.modes[:, 0]
-    return OracleState(vec if vec[0] >= 0.0 else -vec, basis)
+    return OracleState(Propagator.of(c, basis).vacuum(), basis)
 
 
 def build_excited_hamiltonian(c, basis):

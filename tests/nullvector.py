@@ -5,7 +5,7 @@ The excited-surface vacuum is the state annihilated by
     B = gamma_plus*b + gamma_minus*b^dag - lambda_e
 
 in the ground number basis. The package reads it as the lowest eigenvector
-of its Hamiltonian (``Propagator.of(c, basis).modes[:, 0]``); this module
+of its Hamiltonian (``Propagator.of(c, basis).vacuum()``); this module
 finds it from B alone, by an SVD, so the tests have a reference that does
 not depend on ``eigh``.
 """

@@ -194,6 +194,25 @@ def test_excited_surface_constants(displaced, squeezed, mixed):
         phonon_number(-1, displaced, [0.0])
 
 
+@pytest.mark.parametrize("p", [1.5, 1.7, -0.5, math.nan, math.inf, -math.inf, -1, -2.0])
+def test_a_level_that_is_not_an_integer_at_least_zero_is_refused(p, mixed):
+    # int(p) once turned 1.5 into 1 and raised OverflowError at inf
+    ts = [0.0, 0.7]
+    calls = (lambda: overlap(p, mixed, ts), lambda: phonon_number(p, mixed, ts),
+             lambda: excited_phonon_number(p, mixed), lambda: excited_mean_energy(p, mixed))
+    for call in calls:
+        with pytest.raises(ValueError, match="phonon index must be"):
+            call()
+
+
+def test_integral_floats_and_numpy_integers_are_levels(mixed):
+    ts = [0.0, 0.7]
+    for p in (2.0, np.int64(2), np.float64(2.0)):
+        assert np.array_equal(overlap(p, mixed, ts), overlap(2, mixed, ts))
+        assert np.array_equal(phonon_number(p, mixed, ts), phonon_number(2, mixed, ts))
+        assert excited_phonon_number(p, mixed) == excited_phonon_number(2, mixed)
+
+
 # ---------------------------------------------------------------------------
 # return amplitudes, equal frequencies
 

@@ -912,8 +912,8 @@ def test_validate_ladder_stops_at_the_first_eigenvector_on_the_buffer(soft_confi
     code, out, _ = run(["validate", "--config", soft_config, "--oracle-dim", "56"], capsys)
     assert code == 1
     assert _ladder_row(out, "config").endswith(
-        " FAIL  [TruncationError: 1 of the lowest 14 eigenvectors stay off the buffer "
-        "(dim=56); increase the basis]")
+        " FAIL  [TruncationError: eigenvector 1 put weighted buffer population 1.749e-08 "
+        "past the basis edge (dim=56); increase the basis]")
 
 
 def test_validate_prints_the_tolerance_it_applies(capsys):

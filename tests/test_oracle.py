@@ -197,6 +197,30 @@ def test_return_amplitude_agrees_with_explicit_evolution():
         assert amp[k] == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [1.5, -0.5, math.nan, math.inf, -math.inf, -1, -3.0])
+def test_a_level_or_count_that_is_not_an_integer_at_least_zero_is_refused(value):
+    # 1.5 once ended in numpy's IndexError, and franck_condon_weights(-3)
+    # returned all but the last three weights, past the buffer start
+    prop = Propagator.of(make(lam=1.0), TruncatedBasis(64))
+    calls = {"p": (lambda: prop.return_amplitude(value, [0.0]),
+                   lambda: prop.phonon_number(value, [0.0]),
+                   lambda: prop.mean_energy(value)),
+             "count": (lambda: prop.franck_condon_weights(value),)}
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                fn()
+
+
+def test_integral_floats_and_numpy_integers_are_levels_and_counts():
+    prop = Propagator.of(make(lam=1.0), TruncatedBasis(64))
+    for value in (3.0, np.int64(3), np.float64(3.0)):
+        assert np.array_equal(prop.return_amplitude(value, [0.5]), prop.return_amplitude(3, [0.5]))
+        assert np.array_equal(prop.phonon_number(value, [0.5]), prop.phonon_number(3, [0.5]))
+        assert prop.mean_energy(value) == prop.mean_energy(3)
+        assert np.array_equal(prop.franck_condon_weights(value), prop.franck_condon_weights(3))
+
+
 def test_return_amplitude_refuses_levels_outside_the_trusted_basis():
     c = make(omega_e=1.7, lam=0.5)
     basis = TruncatedBasis(16)  # buffer starts at level 14
@@ -619,6 +643,8 @@ def test_thermal_correlation_refuses_a_crossing_between_samples(tmp_path, capsys
     ("return_amplitude", dict(omega_e=1.7, lam=0.5), 16, "the eigenstates of level p=13"),
     ("franck_condon_weights", dict(omega_e=1.5, lam=6.0), 128, "line weights"),
     ("mean_energy", dict(omega_e=1.7, lam=0.5), 16, "the eigenstates of level p=13"),
+    ("vacuum", dict(lam=2.0), 12, "the excited vacuum"),
+    ("ladder", dict(lam=2.0), 12, "eigenvector 0"),
 ])
 def test_every_buffer_refusal_shares_one_wording(path, coupling, dim, what):
     c = make(**coupling)
@@ -630,6 +656,8 @@ def test_every_buffer_refusal_shares_one_wording(path, coupling, dim, what):
         "thermal_correlation": lambda: prop.thermal_correlation(ThermalParams(5.0), c,
                                                                 [0.0, math.pi]),
         "excited_vacuum": lambda: excited_vacuum(c, basis),
+        "vacuum": prop.vacuum,
+        "ladder": lambda: prop.ladder(4),
         "return_amplitude": lambda: prop.return_amplitude(13, [0.0]),
         "franck_condon_weights": lambda: prop.franck_condon_weights(60),
         "mean_energy": lambda: prop.mean_energy(13),
