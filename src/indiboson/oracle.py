@@ -10,21 +10,26 @@ nothing is imported from it: no formula and no container. Line lists come
 back in the same shape on both sides, a numpy record array with fields
 ``offset`` and ``weight``.
 
-The Hamiltonian is real symmetric, so its eigenbasis is real; a real matrix
-acts on a complex state through its (n, 2) float view, never a complex copy.
+The Hamiltonian is real symmetric, so its eigenbasis is real, and the
+evolution is done in real arithmetic wherever a product would otherwise
+copy a real matrix into a complex one.
 
 The top eighth of the basis is a buffer: weight there means the physics
-has hit the artificial wall, so a result that puts more than BUFFER_TOL
+has hit the artificial wall, so a result that may put more than BUFFER_TOL
 there is refused with :class:`TruncationError`, through one refusal
-(``_refuse_leak``), instead of silently degraded. A stationary reference
-(the T = 0 line weights, a return amplitude, the mean energy, the excited
-vacuum of :meth:`Propagator.vacuum`, the eigenvalue ladder of
-:meth:`Propagator.ladder`) is refused on the weighted buffer weight of its
-eigenvectors: the long-time average of the buffer population. The two
-evolved references, the phonon number and the thermal mixture, are refused
-on their own buffer population at every requested time. The thermal line
-list is the one reference that is not checked, until a line-list check
-exists.
+(``_refuse_leak``), instead of silently degraded. Every reference of
+:class:`Propagator` is refused by one rule, on one number that does not
+depend on time. A reference reads a mixture sum_k w_k |psi_k><psi_k|
+(one state has w = 1), whose state psi_k has the eigenbasis row V_k;
+eigenvector n puts e_n of its weight in the buffer. The number is
+
+    B = sum_k w_k (sum_n |V_kn| sqrt(e_n))**2,
+
+and by the triangle inequality no real time puts more than B of the
+mixture in the buffer, so the verdict cannot depend on the time grid. For
+an eigenstate, the excited vacuum of :meth:`Propagator.vacuum` or a level
+of :meth:`Propagator.ladder`, B is its own e_n. The thermal line list is
+the one reference that is not checked, until a line-list check exists.
 """
 
 from __future__ import annotations
@@ -125,7 +130,8 @@ class OracleState:
 
     @classmethod
     def number_state(cls, basis: TruncatedBasis, p: int) -> "OracleState":
-        if not 0 <= p < basis.dim:
+        p = _require_index(p, "p")
+        if p >= basis.dim:
             raise ValueError(f"p must lie in [0, {basis.dim}), got {p}")
         amps = np.zeros(basis.dim, dtype=complex)
         amps[p] = 1.0
@@ -135,15 +141,6 @@ class OracleState:
     def buffer_population(self) -> float:
         tail = self.amplitudes[self.basis.buffer_start :]
         return float(np.vdot(tail, tail).real)
-
-
-def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec for a real matrix and a complex vector or (n, k) block, as
-    one real product on the float view of real and imaginary parts, (n, 2)
-    or (n, 2k); ``mat @ vec`` would first copy all of mat into a complex array."""
-    vec = np.ascontiguousarray(vec, dtype=complex)
-    pairs = vec.view(float).reshape(vec.shape[0], -1)
-    return (mat @ pairs).view(complex).reshape(vec.shape)
 
 
 def _require_index(value, name: str) -> int:
@@ -170,16 +167,17 @@ def _refuse_leak(leak: float, what: str, basis: TruncatedBasis):
 
 class Propagator:
     """Eigendecomposition-backed propagator for a fixed Hamiltonian;
-    ``_edge[n]`` is the buffer population of eigenvector n. ``_last``, for
-    the harness's :meth:`evolve` only, pairs the last state it evolved with
-    its eigenbasis coefficients in one tuple, so that a concurrent call reads
-    a matching pair; a state is immutable, so evolving one state to many
-    times projects it onto the eigenbasis once."""
+    ``_root_edge[n]`` is sqrt(e_n), the root of the buffer population of
+    eigenvector n, from which the bound B of the module docstring is made.
+    ``_last``, for the harness's :meth:`evolve` only, pairs the last state
+    it evolved with its eigenbasis coefficients in one tuple, so that a
+    concurrent call reads a matching pair; a state is immutable, so
+    evolving one state to many times projects it onto the eigenbasis once."""
 
     def __init__(self, hamiltonian: np.ndarray, basis: TruncatedBasis):
         self.basis = basis
         self.energies, self.modes = np.linalg.eigh(hamiltonian)
-        self._edge = np.sum(self.modes[basis.buffer_start :] ** 2, axis=0)
+        self._root_edge = np.sqrt(np.sum(self.modes[basis.buffer_start :] ** 2, axis=0))
         self._last = (None, None)
 
     @classmethod
@@ -198,15 +196,18 @@ class Propagator:
         _refuse_leak(out.buffer_population, "the evolved state", self.basis)
         return out
 
-    def _check_leak(self, weights: np.ndarray, what: str):
-        """Refuse eigenstate weights w_n, n = 0..len-1, whose weighted
-        buffer population sum_n w_n * _edge[n] exceeds BUFFER_TOL."""
-        _refuse_leak(float(weights @ self._edge[: weights.size]), what, self.basis)
+    def _bound(self, weights, rows: np.ndarray) -> float:
+        """B = sum_k w_k (sum_n |V_kn| sqrt(e_n))**2 of the mixture
+        sum_k w_k |psi_k><psi_k|, where V_k = rows[k] holds the coefficients
+        of psi_k on eigenvectors n = 0..rows.shape[1]-1; ``weights`` is w,
+        or one number for every row."""
+        root = self._root_edge[: rows.shape[1]]
+        return float(np.sum(weights * (np.abs(rows) @ root) ** 2))
 
     def vacuum(self) -> np.ndarray:
         """The excited vacuum: eigenvector 0, with the sign that makes its
         ground coefficient >= 0; refused when it leans on the buffer."""
-        self._check_leak(np.ones(1), "the excited vacuum")
+        _refuse_leak(float(self._root_edge[0]) ** 2, "the excited vacuum", self.basis)
         vec = self.modes[:, 0]
         return vec if vec[0] >= 0.0 else -vec
 
@@ -214,28 +215,27 @@ class Propagator:
         """The lowest ``count`` energies, up to the first eigenvector that
         leans on the buffer; refused when that eigenvector is 0 or 1, which
         leaves no spacing to compare."""
-        leaning = np.flatnonzero(~(self._edge[:count] <= BUFFER_TOL))  # a NaN leans
+        edge = self._root_edge[:count] ** 2
+        leaning = np.flatnonzero(~(edge <= BUFFER_TOL))  # a NaN leans
         kept = int(leaning[0]) if leaning.size else count
         if leaning.size and kept < 2:
-            _refuse_leak(float(self._edge[kept]), f"eigenvector {kept}", self.basis)
+            _refuse_leak(float(edge[kept]), f"eigenvector {kept}", self.basis)
         return self.energies[:kept]
 
-    def _check_level(self, p: int) -> int:
+    def _check_level(self, p: int, what: str) -> int:
         """p as an int; refuses a level that is not an integer >= 0
-        (:func:`_require_index`), and a level in the truncation buffer."""
+        (:func:`_require_index`), a level in the truncation buffer, and
+        number state p on its bound B, as ``what`` (``{p}`` there reads p)."""
         p = _require_index(p, "p")
         if p >= self.basis.buffer_start:
             raise TruncationError(f"level p={p} lies in the truncation buffer "
                                   f"(dim={self.basis.dim}); increase the basis")
+        _refuse_leak(self._bound(1.0, self.modes[p : p + 1]), what.format(p=p), self.basis)
         return p
 
     def _level_weights(self, p: int) -> np.ndarray:
-        """|<n|p>|**2 over the eigenstates n, refused for a level in the
-        buffer or one that leans on eigenstates living there."""
-        p = self._check_level(p)
-        weights = self.modes[p, :] ** 2
-        self._check_leak(weights, f"the eigenstates of level p={p}")
-        return weights
+        """|<n|p>|**2 over the eigenstates n; :meth:`_check_level` refuses p."""
+        return self.modes[self._check_level(p, "the eigenstates of level p={p}"), :] ** 2
 
     def return_amplitude(self, p: int, ts, energy_offset: float = 0.0) -> np.ndarray:
         """<p| e^{-i (H - energy_offset) t} |p> on ts; :meth:`_level_weights` refuses p."""
@@ -251,57 +251,43 @@ class Propagator:
     def phonon_number(self, p: int, ts) -> np.ndarray:
         """<p(t)|b^dag b|p(t)> on ts for number state p. The amplitudes
         modes @ (e^{-i E t} modes[p]) are two real (dim, len(ts)) products,
-        cos and sin; refused for a level in the buffer, or when any time puts
-        more than BUFFER_TOL there."""
-        p = self._check_level(p)
+        cos and sin; :meth:`_check_level` refuses p, on the bound B of
+        number state p, which no time exceeds."""
+        p = self._check_level(p, "the evolved state")
         phase = np.outer(self.energies, np.asarray(ts, dtype=float))
         col = self.modes[p][:, None]
         re = self.modes @ (np.cos(phase) * col)
         im = self.modes @ (np.sin(phase, out=phase) * col)  # its sign drops out
-        pops = re**2 + im**2
-        leak = float(np.max(np.sum(pops[self.basis.buffer_start :], axis=0), initial=0.0))
-        _refuse_leak(leak, "the evolved state", self.basis)
-        return np.arange(self.basis.dim, dtype=float) @ pops
+        return np.arange(self.basis.dim, dtype=float) @ (re**2 + im**2)
 
     def thermal_correlation(self, th: ThermalParams, c: Couplings, ts) -> np.ndarray:
         """Thermal dipole correlation from the truncated basis:
         sum_p w_p e^{-i omega_eg t} e^{i omega_g t (p+1/2)}
         <p| e^{-i H t} |p>, for H = H_e - eps_e of ``c`` (:meth:`of`);
-        refused when the mixture sum_p w_p |p><p| puts more than
-        BUFFER_TOL in the buffer at any of ts."""
+        refused when the bound B of the mixture sum_p w_p |p><p|, which
+        no time exceeds, passes BUFFER_TOL."""
         ts = np.asarray(ts, dtype=float)
         weights = _thermal_weights(th, c, self.basis)
+        rows = self.modes[: weights.size]
+        _refuse_leak(self._bound(weights, rows), "the thermal mixture", self.basis)
         e = np.exp(-1j * np.outer(self.energies, ts))
-        leak = float(np.max(self._mixture_buffer(weights, e), initial=0.0))
-        _refuse_leak(leak, "the thermal mixture", self.basis)
-        ret = (self.modes[: weights.size] ** 2) @ e
+        ret = (rows**2) @ e
         phases = np.exp(1j * c.omega_g * np.outer(np.arange(weights.size) + 0.5, ts))
         g = (weights[:, None] * phases * ret).sum(axis=0)
         return g * np.exp(-1j * c.omega_eg * ts)
 
-    def _mixture_buffer(self, weights: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Buffer population of the evolved mixture sum_p w_p |p><p| at each
-        column of the eigenbasis phases e (dim, n_t), exactly:
-        Re sum_m conj(e_m) (C e)_m with C = (V_buf^T V_buf) o (V_p^T diag(w) V_p),
-        a real matrix applied in real arithmetic; a common phase cancels."""
-        v_buf = self.modes[self.basis.buffer_start :]
-        v_p = self.modes[: weights.size]
-        mix = (v_buf.T @ v_buf) * ((v_p.T * weights) @ v_p)
-        ce = _real_matvec(mix, e)
-        return np.einsum("nt,nt->t", e.real, ce.real) + np.einsum("nt,nt->t", e.imag, ce.imag)
-
     def franck_condon_weights(self, count: int) -> np.ndarray:
         """2*pi |<eigenstate n | ground vacuum>|**2 for n = 0..count-1; rejects
         a count that is not an integer >= 0, a count reaching into the
-        buffer, and weights that lean on it (:meth:`_check_leak`)."""
+        buffer, and a ground vacuum whose bound B over those count
+        eigenstates passes BUFFER_TOL."""
         basis = self.basis
         count = _require_index(count, "count")
         if count > basis.buffer_start:
             raise TruncationError(f"count={count} lines reach past the buffer start "
                                   f"{basis.buffer_start} (dim={basis.dim}); increase the basis")
-        weights = 2.0 * np.pi * self.modes[0, :count] ** 2
-        self._check_leak(weights, "line weights")
-        return weights
+        _refuse_leak(self._bound(1.0, self.modes[:1, :count]), "line weights", self.basis)
+        return 2.0 * np.pi * self.modes[0, :count] ** 2
 
     def thermal_line_list(self, th: ThermalParams, c: Couplings) -> np.recarray:
         """Absorption lines from eigenbasis transition amplitudes, as a record
@@ -335,6 +321,15 @@ def _thermal_weights(th: ThermalParams, c: Couplings, basis: TruncatedBasis) -> 
 
 
 # perfbench imports these; removable once perfbench drives only the CLI
+def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for a real matrix and a complex vector or (n, k) block, as
+    one real product on the float view of real and imaginary parts, (n, 2)
+    or (n, 2k); ``mat @ vec`` would first copy all of mat into a complex array."""
+    vec = np.ascontiguousarray(vec, dtype=complex)
+    pairs = vec.view(float).reshape(vec.shape[0], -1)
+    return (mat @ pairs).view(complex).reshape(vec.shape)
+
+
 def _is_diagonal(op: np.ndarray) -> bool:
     """True for a real floating square op with no nonzero entry off the
     diagonal (a NaN counts as nonzero), so that op - op.T is exactly zero.

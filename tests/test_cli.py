@@ -873,7 +873,7 @@ def test_validate_runs_a_preset_at_another_temperature_as_config(capsys):
 def test_validate_refuses_a_return_amplitude_that_leans_on_the_buffer(soft_config, capsys):
     # omega_e/omega_g = 0.3, lambda_g = 1.5, p = 1: at 128 levels the row
     # used to fail by 1.4e-6 as if the closed form were wrong; the conserved
-    # energy is refused by the same eigenvector rule, in the same words
+    # energy is refused on the same bound B of level 1, in the same words
     def row(dim, check="return_amplitude"):
         _, out, _ = run(["validate", "--config", soft_config, "--oracle-dim", dim], capsys)
         return next(line for line in out.splitlines()
@@ -882,7 +882,7 @@ def test_validate_refuses_a_return_amplitude_that_leans_on_the_buffer(soft_confi
     assert "FAIL  [TruncationError: the eigenstates of level p=1 put weighted" in row("128")
     assert row("128", "excited_energy").endswith(
         " FAIL  [TruncationError: the eigenstates of level p=1 put weighted buffer population "
-        "1.226e-07 past the basis edge (dim=128); increase the basis]")
+        "1.610e-06 past the basis edge (dim=128); increase the basis]")
     assert " pass " in row("256")
     code, _, err = run(["evolve", "--config", soft_config, "--oracle", "--oracle-dim", "128"],
                        capsys)

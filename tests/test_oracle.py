@@ -136,6 +136,13 @@ def test_number_state_and_norm_guard():
         OracleState(np.ones(8), basis)
     with pytest.raises(ValueError, match="p must lie"):
         OracleState.number_state(basis, 8)
+    # 1.5 once ended in numpy's IndexError
+    for p, match in [(1.5, "p must be an integer"), (math.nan, "p must be an integer"),
+                     (-1, "p must be >= 0")]:
+        with pytest.raises(ValueError, match=match):
+            OracleState.number_state(basis, p)
+    assert np.array_equal(OracleState.number_state(basis, np.float64(3.0)).amplitudes,
+                          s.amplitudes)
 
 
 def test_state_is_a_read_only_copy_of_its_input():
@@ -225,9 +232,9 @@ def test_return_amplitude_refuses_levels_outside_the_trusted_basis():
     c = make(omega_e=1.7, lam=0.5)
     basis = TruncatedBasis(16)  # buffer starts at level 14
     prop = Propagator(build_excited_hamiltonian(c, basis), basis)
-    # level 13 lies below the buffer, but its eigenstates put 0.27 of their
-    # weight in it; 128 levels hold them (8e-15)
-    with pytest.raises(TruncationError, match=r"p=13 put weighted buffer population 2\.669e-01"):
+    # level 13 lies below the buffer, but its eigenstates lean on it: the
+    # bound B of the level reads 1.47; 128 levels hold them
+    with pytest.raises(TruncationError, match=r"p=13 put weighted buffer population 1\.467e\+00"):
         prop.return_amplitude(13, [0.0])
     wide = TruncatedBasis(128)
     amp = Propagator(build_excited_hamiltonian(c, wide), wide).return_amplitude(13, [0.0])
@@ -302,7 +309,6 @@ def test_expectation_refuses_a_buffer_crossing_at_any_time():
     basis = TruncatedBasis(12)
     prop = Propagator(build_excited_hamiltonian(c, basis), basis)
     state = OracleState.number_state(basis, 0)
-    number = np.diag(np.arange(12.0))
     ts = np.linspace(0.0, math.pi, 25)
     crossed = []
     for t in ts:  # Propagator.evolve is the per-time reference
@@ -312,15 +318,13 @@ def test_expectation_refuses_a_buffer_crossing_at_any_time():
         except TruncationError:
             crossed.append(True)
     assert not crossed[0] and crossed[-1]
-    for t, bad in zip(ts, crossed):
-        if bad:
-            with pytest.raises(TruncationError, match=r"evolved state put weighted buffer "
-                                                      r"population .* \(dim=12\); "
-                                                      r"increase the basis"):
-                prop.phonon_number(0, [0.0, t, 0.0])
-        else:
-            assert prop.phonon_number(0, [t])[0] == pytest.approx(
-                observable(prop.evolve(state, t), number), abs=1e-13)
+    # the bound of level 0 holds for every time, so every time is refused,
+    # t = 0 among them, where the state has no weight in the buffer at all
+    for t in ts:
+        with pytest.raises(TruncationError, match=r"evolved state put weighted buffer "
+                                                  r"population 2\.167e-01 past the basis edge "
+                                                  r"\(dim=12\); increase the basis"):
+            prop.phonon_number(0, [t])
     for p in (11, 12, 40):  # in the buffer (from 11), or past the basis
         with pytest.raises(TruncationError, match=f"level p={p} lies in the truncation buffer"):
             prop.phonon_number(p, [0.0])
@@ -588,7 +592,7 @@ def test_thermal_correlation_starts_near_one_and_matches_closed_form():
 # omega_e/omega_g = 0.5, lambda_g = 5, beta*omega_g = 1: at 256 levels the
 # thermal mixture passes BUFFER_TOL at few of the CLI's 400 times and at
 # none of every eighth (1.8e-10 at most there, 1.6e-8 at the worst time),
-# so a check on sampled times would miss it
+# so a check on sampled times would miss it; its bound B reads 3.08e-8
 BETWEEN_SAMPLES = "omega_g = 1\nomega_e = 0.5\nlambda_g = 5\nbeta = 1\n"
 
 
@@ -606,26 +610,33 @@ def _per_time_mixture_buffer(prop, weights, ts):
 @pytest.mark.parametrize("source", [*preset_names(),
                                     "omega_g = 1\nomega_e = 1\nlambda_g = 4\nbeta = 2\n",
                                     BETWEEN_SAMPLES])
-def test_thermal_buffer_population_is_exact_at_every_time(source):
+def test_the_buffer_bound_holds_at_every_time(source):
+    # the one number on which the thermal mixture and the evolved level are
+    # refused, against their exact buffer population at each of the CLI's times
     raw = preset_config(source) if source in preset_names() else parse_config_text(source)
     cfg = build_run_config(raw)
     c = derive_couplings(cfg.params)
     prop = Propagator.of(c, TruncatedBasis(256))
     weights = _thermal_weights(cfg.thermal, c, prop.basis)
     ts = cfg.times()
-    # a common phase cancels, so the phases may carry any energy offset
-    got = prop._mixture_buffer(weights, np.exp(-1j * np.outer(prop.energies - 0.3, ts)))
-    ref = _per_time_mixture_buffer(prop, weights, ts)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+    mixture = _per_time_mixture_buffer(prop, weights, ts)
+    assert np.max(mixture) <= prop._bound(weights, prop.modes[: weights.size])
+    # number state p, evolved by the dense propagator V e^{-iEt} V^T
+    p, start = cfg.initial_p, prop.basis.buffer_start
+    evolved = [(prop.modes * np.exp(-1j * prop.energies * t)) @ prop.modes[p] for t in ts]
+    level = max(np.sum(np.abs(psi[start:]) ** 2) for psi in evolved)
+    assert level <= prop._bound(1.0, prop.modes[p : p + 1])
 
 
 def test_thermal_correlation_refuses_a_crossing_between_samples(tmp_path, capsys):
+    # refused on the bound, so two times are refused as 400 are
     cfg = tmp_path / "between.cfg"
-    cfg.write_text(BETWEEN_SAMPLES)
-    assert main(["correlation", "--config", str(cfg), "--oracle"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert re.search(r"thermal mixture put weighted buffer population 1\.6\d\de-08 ", err)
+    for text in (BETWEEN_SAMPLES + "t_points = 2\n", BETWEEN_SAMPLES):
+        cfg.write_text(text)
+        assert main(["correlation", "--config", str(cfg), "--oracle"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.search(r"thermal mixture put weighted buffer population 3\.08\de-08 ", err)
     assert main(["validate", "--config", str(cfg)]) == 1
     out = capsys.readouterr().out
     rows = [line for line in out.splitlines() if " FAIL  " in line]
